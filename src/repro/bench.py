@@ -803,8 +803,9 @@ def bench_sharded_throughput(
     ``.copy()`` so repeats are independent.  ``speedup`` is the K = 1
     wall-clock over the K = ``n_shards`` wall-clock on the *identical*
     request stream, and the K = 1 report digest is asserted equal to
-    the plain unsharded engine's digest — the facade's bitwise
-    K = 1 reduction, gated here and in ``check_bench_regression.py``.
+    the digest of the default engine, which partitions the scenario
+    itself (K = 1) — a prebuilt calendar copy must book exactly like a
+    fresh one; gated here and in ``check_bench_regression.py``.
     """
     from repro.dag.templates import parameter_sweep
     from repro.experiments.stream import StreamRequest, StreamScheduler
@@ -859,7 +860,8 @@ def bench_sharded_throughput(
     sharded_s, k_report = _best_of(lambda: run_on(base_k), repeats)
     if k1_report.digest() != unsharded_digest:
         raise AssertionError(
-            "K=1 sharded stream digest diverged from the unsharded engine"
+            "K=1 prebuilt-calendar stream digest diverged from the "
+            "default engine"
         )
     return {
         "n_requests": n_requests,

@@ -392,7 +392,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     meta = {
         "requests": str(args.requests),
         "dags": len(graphs),
-        "shards": args.shards or 1,
+        "shards": args.shards,
     }
     want_timeline = args.timeline or args.trace_out is not None
     if want_timeline:
@@ -492,7 +492,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "requests": str(args.requests),
         "dags": len(graphs),
         "fault_rate": args.faults,
-        "shards": args.shards or 1,
+        "shards": args.shards,
     }
     want_timeline = args.timeline or args.trace_out is not None
     if want_timeline:
@@ -794,9 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
         "more than this many seconds (default: admit everything)",
     )
     p.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=int, default=1,
         help="partition the platform into this many calendar shards "
-        "(default: unsharded; --shards 1 is bitwise identical)",
+        "(default 1, the unsharded platform)",
     )
     p.add_argument(
         "--shard-workers", type=int, default=0, dest="shard_workers",
@@ -893,10 +893,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome trace-event JSON of the replay here",
     )
     p.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=int, default=1,
         help="partition the platform into this many calendar shards; "
-        "faults then land per-shard and commits go two-phase "
-        "(default: unsharded; --shards 1 is bitwise identical)",
+        "faults land per-shard and commits go two-phase "
+        "(default 1, the unsharded platform)",
     )
     p.add_argument(
         "--shard-workers", type=int, default=0, dest="shard_workers",

@@ -55,7 +55,7 @@ import pickle
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -90,6 +90,19 @@ def _pool(n_workers: int) -> ProcessPoolExecutor:
         pool = ProcessPoolExecutor(max_workers=n_workers)
         _POOLS[n_workers] = pool
     return pool
+
+
+def _submit(
+    n_workers: int, fn: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Future[Any]:
+    """Submit to the cached pool.  A pool found broken at submit time (a
+    worker died after its last call returned) is handled like a chunk
+    lost at result time: dropped, and the call goes to a fresh fork."""
+    try:
+        return _pool(n_workers).submit(fn, *args, **kwargs)
+    except BrokenProcessPool:
+        _POOLS.pop(n_workers, None)
+        return _pool(n_workers).submit(fn, *args, **kwargs)
 
 
 def shutdown_pools() -> None:
@@ -289,11 +302,10 @@ def map_stream(
                     ambient.merge(snap)
                 out.append((inst.scenario_key, result))
         return out
-    pool = _pool(n_workers)
     futures = [
-        pool.submit(
-            _run_chunk, work, factory, factory_args, chunk, n_workers,
-            kwargs, _obs.ENABLED,
+        _submit(
+            n_workers, _run_chunk, work, factory, factory_args, chunk,
+            n_workers, kwargs, _obs.ENABLED,
         )
         for chunk in range(n_workers)
     ]
@@ -546,12 +558,11 @@ def run_sweep(
         pending: list[tuple[int, int]] = [(chunk, 0) for chunk in range(n_workers)]
         while pending:
             batch, pending = pending, []
-            pool = _pool(n_workers)
             futures = {
-                pool.submit(
-                    _run_chunk, work, factory, factory_args, chunk, n_workers,
-                    kwargs, _obs.ENABLED, timeout=ft.instance_timeout,
-                    skip=skip, guard=True,
+                _submit(
+                    n_workers, _run_chunk, work, factory, factory_args, chunk,
+                    n_workers, kwargs, _obs.ENABLED,
+                    timeout=ft.instance_timeout, skip=skip, guard=True,
                 ): (chunk, tries)
                 for chunk, tries in batch
             }
@@ -613,9 +624,8 @@ def _isolate_chunk(
             if idx % n_chunks == chunk and idx not in skip:
                 targets.append((idx, inst.scenario_key))
     for idx, key in targets:
-        pool = _pool(n_chunks)
-        future = pool.submit(
-            _run_single, work, factory, factory_args, idx, kwargs,
+        future = _submit(
+            n_chunks, _run_single, work, factory, factory_args, idx, kwargs,
             _obs.ENABLED, ft.instance_timeout,
         )
         try:

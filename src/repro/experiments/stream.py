@@ -13,8 +13,9 @@ scheduled at instant ``scenario.now + r.arrival_offset`` with the full
 RESSCHED heuristic via the incremental engine
 (:func:`repro.core.schedule_ressched_incremental`), committing its task
 reservations into the one shared, generation-tagged
-:class:`~repro.calendar.calendar.ResourceCalendar`.  Already-booked
-requests are never revisited (advance reservations are contracts).
+:class:`~repro.shard.ShardedCalendar` (one shard unless asked for more).
+Already-booked requests are never revisited (advance reservations are
+contracts).
 
 :func:`schedule_stream_naive` is the reference baseline: per request it
 rebuilds a full :class:`~repro.workloads.reservations.ReservationScenario`
@@ -55,7 +56,6 @@ import numpy as np
 
 import hashlib
 
-from repro.calendar import ResourceCalendar
 from repro.core.incremental import PlanMemo, schedule_ressched_incremental
 from repro.core.ressched import ResSchedAlgorithm, schedule_ressched
 from repro.shard import ShardedCalendar, ShardProbePool
@@ -224,30 +224,29 @@ class StreamScheduler:
             request whose earliest tentative start exceeds
             ``arrival + admission_window`` is rejected and its
             placements are discarded (scheduled against a throwaway
-            :meth:`~repro.calendar.calendar.ResourceCalendar.copy`, so
-            the shared calendar is untouched).  ``None`` (the default)
+            :meth:`~repro.shard.ShardedCalendar.copy`, so the shared
+            calendar is untouched).  ``None`` (the default)
             admits everything and keeps the bitwise-identical-to-naive
             fast path.
-        shards: ``None`` (default) books into one unsharded calendar;
-            an integer K partitions the platform into a
-            :class:`~repro.shard.ShardedCalendar` of K shards (placement
-            probes fan out and reduce per shard; each placement is
-            hosted wholly by one shard).  ``shards=1`` is bitwise
-            identical to the unsharded engine — the facade
-            short-circuits to its single shard.
-        shard_workers: With ``shards``, fan the per-shard probe legs out
-            to this many worker processes via
-            :class:`~repro.shard.ShardProbePool` (0 = serial fan-out).
-            Results are bitwise identical at any worker count; call
-            :meth:`close` when done to release the workers.
+        shards: Number of calendar shards K (default 1).  The platform
+            is partitioned into a :class:`~repro.shard.ShardedCalendar`
+            of K shards: placement probes fan out and reduce per shard,
+            and each placement is hosted wholly by one shard.  K = 1 is
+            the unsharded engine — the facade short-circuits to its
+            single shard.
+        shard_workers: Fan the per-shard probe legs out to this many
+            worker processes via :class:`~repro.shard.ShardProbePool`
+            (0 = serial fan-out).  Results are bitwise identical at any
+            worker count; call :meth:`close` when done to release the
+            workers.
         calendar: Optional pre-built booking calendar to adopt instead
-            of constructing one from the scenario — it must cover the
-            scenario's capacity and competing reservations (the caller
-            vouches; nothing is re-validated).  The benchmarks use this
-            to amortize one expensive :meth:`ShardedCalendar.partition`
-            over many timed runs (each run adopts a fresh ``.copy()``),
-            and a restore path can hand a journal-rebuilt calendar
-            straight in.  Mutually exclusive with ``shards``.
+            of partitioning the scenario — it must cover the scenario's
+            capacity and competing reservations (the caller vouches;
+            nothing is re-validated) and carries its own shard count.
+            The benchmarks use this to amortize one expensive
+            :meth:`ShardedCalendar.partition` over many timed runs (each
+            run adopts a fresh ``.copy()``).  Mutually exclusive with
+            ``shards`` and ``shard_workers``.
     """
 
     def __init__(
@@ -259,21 +258,18 @@ class StreamScheduler:
         tie_break: str = "fewest",
         memo: PlanMemo | None = None,
         admission_window: float | None = None,
-        shards: int | None = None,
+        shards: int = 1,
         shard_workers: int = 0,
-        calendar: "ResourceCalendar | ShardedCalendar | None" = None,
+        calendar: ShardedCalendar | None = None,
     ):
         if admission_window is not None and not admission_window >= 0:
             raise ServiceError(
                 f"admission_window must be >= 0, got {admission_window}"
             )
-        if shards is None and shard_workers:
+        if calendar is not None and (shards != 1 or shard_workers):
             raise ServiceError(
-                "shard_workers requires a sharded calendar (shards >= 1)"
-            )
-        if calendar is not None and shards is not None:
-            raise ServiceError(
-                "pass either a pre-built calendar or a shard count, not both"
+                "a pre-built calendar carries its own shards; pass neither "
+                "shards nor shard_workers with it"
             )
         self._scenario = scenario
         self._algorithm = algorithm
@@ -286,8 +282,6 @@ class StreamScheduler:
         self._pool: ShardProbePool | None = None
         if calendar is not None:
             self._calendar = calendar
-        elif shards is None:
-            self._calendar = scenario.calendar()
         else:
             self._calendar = ShardedCalendar.partition(
                 scenario.capacity,
@@ -307,7 +301,7 @@ class StreamScheduler:
         return self._scenario
 
     @property
-    def calendar(self) -> "ResourceCalendar | ShardedCalendar":
+    def calendar(self) -> ShardedCalendar:
         """The shared calendar holding everything booked so far."""
         return self._calendar
 
@@ -327,13 +321,13 @@ class StreamScheduler:
         request: StreamRequest,
         *,
         arrival: float,
-        calendar: "ResourceCalendar | ShardedCalendar",
+        calendar: ShardedCalendar,
     ) -> Schedule:
         """Plan ``request`` at ``arrival`` against ``calendar``.
 
         The pure planning half of :meth:`admit`: builds (or reuses) the
         memoized plan and runs the incremental engine against the given
-        calendar — normally a :meth:`~repro.calendar.calendar.ResourceCalendar.copy`
+        calendar — normally a :meth:`~repro.shard.ShardedCalendar.copy`
         of the shared one, so nothing is committed until the caller
         adopts it.  :class:`repro.service.ReservationService` composes
         this with :meth:`adopt` for its optimistic-concurrency commits.
@@ -354,36 +348,20 @@ class StreamScheduler:
             plan=plan,
         )
 
-    def adopt(self, calendar: "ResourceCalendar | ShardedCalendar") -> None:
-        """Make ``calendar`` the shared booking state.
+    def adopt(self, calendar: ShardedCalendar) -> None:
+        """Commit a staged copy of the shared calendar.
 
         The commit half of a tentative-then-commit admission: the caller
-        planned against a copy and, with the commit still valid, swaps
-        the copy in.  A staged :class:`~repro.shard.ShardedCalendar`
-        copy of the current shared calendar goes through the two-phase
-        protocol instead — only its touched shard legs are swapped in
-        (:meth:`~repro.shard.ShardedCalendar.commit`), which raises
-        :class:`~repro.errors.ShardCommitError` on stale legs.
+        planned against a :meth:`~repro.shard.ShardedCalendar.copy` and
+        hands it back; only its touched shard legs are swapped in
+        (:meth:`~repro.shard.ShardedCalendar.commit`).
 
         Raises:
-            ServiceError: If the calendar's capacity disagrees with the
-                shared one (it cannot describe the same platform).
+            ShardCommitError: If a touched leg moved since the copy.
+            CalendarError: If ``calendar`` was not copied from the
+                shared calendar.
         """
-        base = self._calendar
-        if (
-            isinstance(base, ShardedCalendar)
-            and isinstance(calendar, ShardedCalendar)
-            and calendar.parent is base
-        ):
-            base.commit(calendar)
-            return
-        if calendar.capacity != base.capacity:
-            raise ServiceError(
-                f"cannot adopt a calendar with capacity "
-                f"{calendar.capacity}; the stream's platform has "
-                f"{base.capacity}"
-            )
-        self._calendar = calendar
+        self._calendar.commit(calendar)
 
     def admit(self, request: StreamRequest) -> StreamOutcome:
         """Schedule one request at its arrival instant and book it.

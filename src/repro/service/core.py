@@ -9,21 +9,22 @@ layers an online deployment needs:
   priority-aware load shedding that degrades batch traffic first while
   interactive requests keep flowing.
 * **Optimistic-concurrency commits** — every admission plans against a
-  :meth:`~repro.calendar.calendar.ResourceCalendar.copy` of the shared
+  staged :meth:`~repro.shard.ShardedCalendar.copy` of the shared
   calendar and commits by
-  :meth:`~repro.experiments.stream.StreamScheduler.adopt` only while the
-  calendar's :attr:`~repro.calendar.calendar.ResourceCalendar.generation`
-  still equals the token captured at planning time.  A mid-flight fault
-  bumps the generation, the commit is abandoned, and the request retries
-  after a bounded, deterministic backoff (capped exponential plus
-  jitter drawn from :func:`repro.rng.derive_rng`, so outcomes are
-  bitwise-identical at any worker count).
+  :meth:`~repro.experiments.stream.StreamScheduler.adopt` only while
+  every shard leg the copy wrote to still carries the generation token
+  captured at planning time (one leg at K = 1).  A mid-flight fault on
+  a touched leg aborts the commit, and the request retries after a
+  bounded, deterministic backoff (capped exponential plus jitter drawn
+  from :func:`repro.rng.derive_rng`, so outcomes are bitwise-identical
+  at any worker count).
 * **Mid-stream fault injection** — a deterministic
   :func:`repro.resilience.faults.generate_faults` trace is interleaved
-  with the request stream by event time; competing arrivals and
-  downtimes revoke conflicting unstarted bookings (latest start first)
-  and the service rebooks them, cascading along precedence edges exactly
-  like the offline repair engine.
+  with the request stream by event time; a competing arrival or
+  downtime lands on one shard leg, revokes conflicting unstarted
+  bookings there (latest start first), and the service rebooks them,
+  cascading along precedence edges exactly like the offline repair
+  engine.
 * **Crash safety** — every processed record is checkpointed to an
   fsync'd JSON-lines :class:`~repro.service.journal.ServiceJournal`; a
   service restarted over the journal rebuilds its booking state bitwise
@@ -41,6 +42,7 @@ the service's placements are bitwise-identical to
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -95,6 +97,10 @@ class ServiceOutcome:
             from :meth:`ServiceReport.digest`).
         retries: Commit conflicts this request survived before its
             disposition.
+        hosts: For an admission, the shard that hosts each placement,
+            in placement order — a restore commits each placement back
+            to its shard (derived from the placements, so excluded from
+            :meth:`ServiceReport.digest`).
     """
 
     request: StreamRequest
@@ -104,6 +110,7 @@ class ServiceOutcome:
     reason: str = ""
     latency_s: float = 0.0
     retries: int = 0
+    hosts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.status not in OUTCOME_STATUSES:
@@ -284,19 +291,18 @@ class ReservationService:
         cpa_stopping: CPA stopping criterion for plan building.
         tie_break: Completion-tie resolution, as in the batch scheduler.
         memo: Optional shared :class:`~repro.core.incremental.PlanMemo`.
-        shards: ``None`` (default) books into one unsharded calendar;
-            an integer K partitions the platform into a
-            :class:`~repro.shard.ShardedCalendar`.  Sharded, commits
-            use the two-phase per-shard-token protocol: a mid-flight
-            fault conflicts an admission only when it touched a shard
-            the admission's staged legs wrote to, and downtime faults
-            are hosted wholly by a deterministic shard (trace index mod
-            K) so repairs rebook across shards.  ``shards=1`` reduces
-            bitwise to the unsharded service.
-        shard_workers: With ``shards``, fan the per-shard probe legs
-            out to this many worker processes (0 = serial); bitwise
-            identical at any worker count.  Call :meth:`close` when
-            done to release the workers.
+        shards: Number of calendar shards K (default 1) the platform is
+            partitioned into (:class:`~repro.shard.ShardedCalendar`).
+            Commits use the two-phase per-shard-token protocol: a
+            mid-flight fault conflicts an admission only when it
+            touched a shard the admission's staged legs wrote to, and
+            arrival/downtime faults are hosted wholly by a deterministic
+            shard (trace index mod K) so repairs rebook across shards.
+            K = 1 is the unsharded service.
+        shard_workers: Fan the per-shard probe legs out to this many
+            worker processes (0 = serial); bitwise identical at any
+            worker count.  Call :meth:`close` when done to release the
+            workers.
     """
 
     def __init__(
@@ -312,7 +318,7 @@ class ReservationService:
         cpa_stopping: str = "stringent",
         tie_break: str = "fewest",
         memo: PlanMemo | None = None,
-        shards: int | None = None,
+        shards: int = 1,
         shard_workers: int = 0,
     ) -> None:
         self._scenario = scenario
@@ -344,9 +350,9 @@ class ReservationService:
         self._order: list[str] = []
         self._outcomes: list[ServiceOutcome] = []
         self._dead_letters: list[DeadLetter] = []
-        # Non-displaceable external occupancy: the scenario's competing
-        # reservations (cancel faults withdraw from here) plus every
-        # admitted fault window.
+        # External occupancy: the scenario's competing reservations plus
+        # every admitted fault window.  A cancel fault withdraws only
+        # what is still listed here.
         self._ext: list[Reservation] = list(scenario.reservations)
         self._done = 0
         self._restoring = False
@@ -361,7 +367,7 @@ class ReservationService:
         return self._scheduler
 
     @property
-    def calendar(self) -> "ResourceCalendar | ShardedCalendar":
+    def calendar(self) -> ShardedCalendar:
         """The shared calendar holding everything booked so far."""
         return self._scheduler.calendar
 
@@ -563,52 +569,40 @@ class ReservationService:
                 if _tl.ENABLED:
                     _tl.pop_trace()
             # Simulated plan->commit latency: faults landing inside the
-            # window invalidate the CAS token.
+            # window invalidate the CAS token.  Only the shard legs the
+            # staged copy wrote to are compared against the live
+            # generation vector, so a fault that landed on an untouched
+            # shard does not abort this admission.
             self._apply_faults_until(now + cfg.commit_latency)
-            cal = self._scheduler.calendar
-            if cal is not base:
-                conflicted = True
-            elif isinstance(base, ShardedCalendar) and isinstance(
-                target, ShardedCalendar
-            ):
-                # Two-phase sharded commit: compare only the shard legs
-                # the staged copy wrote to against the live generation
-                # vector.  A fault that landed on an untouched shard
-                # does not abort this admission.
-                try:
-                    base.validate_commit(target)
-                    conflicted = False
-                except ShardCommitError:
-                    conflicted = True
-            else:
-                conflicted = cal.generation != token
-            if conflicted:
-                conflicts += 1
-                if _obs.ENABLED:
-                    _obs.incr("service.commit.conflict")
-                if _tl.ENABLED:
-                    _tl.emit(
-                        "commit_conflict",
-                        now,
-                        trace=request.request_id,
-                        tenant=request.tenant,
-                        attempt=conflicts,
-                        generation=cal.generation,
-                        token=token,
-                    )
-                if conflicts > cfg.commit_retry_cap:
-                    return self._quarantine(
-                        request,
-                        arrival,
-                        "commit-retries-exhausted",
-                        failures + conflicts,
-                    )
-                if _obs.ENABLED:
-                    _obs.incr("service.commit.retry")
-                now += self._retry_delay(request, conflicts)
-                self._apply_faults_until(now)
-                continue
-            break
+            try:
+                base.validate_commit(target)
+                break
+            except ShardCommitError:
+                pass
+            conflicts += 1
+            if _obs.ENABLED:
+                _obs.incr("service.commit.conflict")
+            if _tl.ENABLED:
+                _tl.emit(
+                    "commit_conflict",
+                    now,
+                    trace=request.request_id,
+                    tenant=request.tenant,
+                    attempt=conflicts,
+                    generation=base.generation,
+                    token=token,
+                )
+            if conflicts > cfg.commit_retry_cap:
+                return self._quarantine(
+                    request,
+                    arrival,
+                    "commit-retries-exhausted",
+                    failures + conflicts,
+                )
+            if _obs.ENABLED:
+                _obs.incr("service.commit.retry")
+            now += self._retry_delay(request, conflicts)
+            self._apply_faults_until(now)
         if cfg.admission_window is not None:
             first_start = min(
                 (p.start for p in schedule.placements), default=arrival
@@ -638,7 +632,7 @@ class ReservationService:
                     retries=conflicts,
                 )
         self._scheduler.adopt(target)
-        self._register(request, arrival, schedule)
+        reservations = self._register(request, arrival, schedule)
         if _obs.ENABLED:
             _obs.incr("service.admitted")
         if _tl.ENABLED:
@@ -658,6 +652,7 @@ class ReservationService:
             schedule=schedule,
             latency_s=sw.wall_s,
             retries=conflicts,
+            hosts=tuple(target.routes[r] for r in reservations.values()),
         )
 
     def _shed_reason(
@@ -764,7 +759,9 @@ class ReservationService:
 
     def _register(
         self, request: StreamRequest, arrival: float, schedule: Schedule
-    ) -> None:
+    ) -> dict[int, Reservation]:
+        """Book-keep an admission; returns its task -> reservation map
+        (in placement order)."""
         reservations = {
             p.task: p.as_reservation(request.graph.task(p.task).name)
             for p in schedule.placements
@@ -773,6 +770,7 @@ class ReservationService:
             request=request, arrival=arrival, reservations=reservations
         )
         self._order.append(request.request_id)
+        return reservations
 
     # ------------------------------------------------------------------
     # Fault application
@@ -816,100 +814,43 @@ class ReservationService:
             self._scheduler.calendar.remove(target)
 
     def _apply_arrival(self, fault: FaultEvent, idx: int) -> None:
-        """An arrival/downtime window: clip it to the capacity left by
-        non-displaceable occupancy, then revoke conflicting unstarted
-        bookings (latest start first) until it fits, and rebook them."""
+        """An arrival/downtime window lands wholly on shard leg ``k`` —
+        trace index mod K, deterministic across restores — so at K > 1 a
+        big enough fault takes the whole shard out.  The window is
+        clipped to the capacity left by non-displaceable occupancy on
+        that leg, conflicting unstarted bookings hosted there are
+        revoked (latest start first) until it fits, and the rebooking
+        probe runs through the facade — so repairs land on whichever
+        shard answers earliest, migrating work off the faulted shard
+        (``shard.rebalances``)."""
         t = fault.time
         cal = self._scheduler.calendar
-        if isinstance(cal, ShardedCalendar) and cal.n_shards > 1:
-            self._apply_arrival_sharded(fault, idx, cal)
-            return
-        requested = fault.reservation
-        # Non-displaceable occupancy: external windows plus bookings
-        # already running at the fault instant.
-        started = [
-            res
-            for rid in self._order
-            for res in self._committed[rid].reservations.values()
-            if res.start <= t
-        ]
-        probe = ResourceCalendar(
-            cal.capacity, tuple(self._ext) + tuple(started)
-        )
-        free = probe.min_available(requested.start, requested.end)
-        m = min(requested.nprocs, free)
-        if m < 1:
-            self._faults_denied += 1
-            if _obs.ENABLED and not self._restoring:
-                _obs.incr("service.faults.denied")
-            return
-        admitted = Reservation(
-            start=requested.start,
-            end=requested.end,
-            nprocs=m,
-            label=requested.label,
-        )
-        revoked: dict[str, dict[int, Reservation]] = {}
-        while True:
-            try:
-                cal.add(admitted)
-                break
-            except CalendarError:
-                victim = self._pick_victim(t, admitted)
-                if victim is None:  # pragma: no cover - defensive
-                    raise RepairError(
-                        f"fault {admitted.label!r} cannot be honored: no "
-                        "revocable bookings left"
-                    ) from None
-                rid, task = victim
-                res = self._committed[rid].reservations.pop(task)
-                cal.remove(res)
-                revoked.setdefault(rid, {})[task] = res
-                self._revocations += 1
-                if _obs.ENABLED and not self._restoring:
-                    _obs.incr("service.revocations")
-        self._ext.append(admitted)
-        for rid in self._order:
-            if rid in revoked:
-                self._rebook(rid, revoked[rid], t)
-
-    def _apply_arrival_sharded(
-        self, fault: FaultEvent, idx: int, cal: ShardedCalendar
-    ) -> None:
-        """A sharded arrival/downtime window lands wholly on one shard
-        — trace index mod K, deterministic across restores — so a big
-        enough fault takes the whole shard out.  The window is clipped
-        to the capacity left by non-displaceable occupancy *on that
-        shard*, conflicting unstarted bookings hosted there are revoked
-        (latest start first), and the rebooking probe runs through the
-        facade — so repairs land on whichever shard answers earliest,
-        migrating work off the faulted shard (``shard.rebalances``)."""
-        t = fault.time
         k = idx % cal.n_shards
         shard = cal.shards[k]
         requested = fault.reservation
-        # Non-displaceable occupancy on shard k: everything hosted there
-        # minus unstarted committed bookings (matched by value; a
-        # value-equal twin on the same shard is interchangeable for
-        # capacity accounting).
-        hosted = list(shard.reservations)
+        lo, hi = requested.start, requested.end
+        # Leg k's reservations overlapping the window, as a value
+        # multiset: only these bound the window's free capacity.
+        hosted = Counter(
+            r for r in shard.reservations if r.start < hi and r.end > lo
+        )
+        # Non-displaceable occupancy: the hosted overlap minus unstarted
+        # committed bookings (matched by value; a value-equal twin on
+        # the same leg is interchangeable for capacity accounting).
+        fixed = hosted.copy()
         for rid in self._order:
             for res in self._committed[rid].reservations.values():
-                if res.start > t and res in hosted:
-                    hosted.remove(res)
-        probe = ResourceCalendar(shard.capacity, tuple(hosted))
-        free = probe.min_available(requested.start, requested.end)
-        m = min(requested.nprocs, free)
+                if res.start > t and fixed[res] > 0:
+                    fixed[res] -= 1
+        probe = ResourceCalendar(shard.capacity, tuple(fixed.elements()))
+        m = min(requested.nprocs, probe.min_available(lo, hi))
         if m < 1:
             self._faults_denied += 1
             if _obs.ENABLED and not self._restoring:
                 _obs.incr("service.faults.denied")
             return
         admitted = Reservation(
-            start=requested.start,
-            end=requested.end,
-            nprocs=m,
-            label=requested.label,
+            start=lo, end=hi, nprocs=m, label=requested.label
         )
         revoked: dict[str, dict[int, Reservation]] = {}
         while True:
@@ -917,7 +858,7 @@ class ReservationService:
                 cal.add_to_shard(k, admitted)
                 break
             except CalendarError:
-                victim = self._pick_victim(t, admitted, hosted_by=shard)
+                victim = self._pick_victim(t, admitted, hosted)
                 if victim is None:  # pragma: no cover - defensive
                     raise RepairError(
                         f"fault {admitted.label!r} cannot be honored: no "
@@ -926,6 +867,7 @@ class ReservationService:
                 rid, task = victim
                 res = self._committed[rid].reservations.pop(task)
                 cal.remove_from_shard(k, res)
+                hosted[res] -= 1
                 revoked.setdefault(rid, {})[task] = res
                 self._revocations += 1
                 if _obs.ENABLED and not self._restoring:
@@ -933,23 +875,19 @@ class ReservationService:
         self._ext.append(admitted)
         for rid in self._order:
             if rid in revoked:
-                self._rebook(rid, revoked[rid], t, origin_shard=k)
+                self._rebook(rid, revoked[rid], t, k)
 
     def _pick_victim(
         self,
         t: float,
         window: Reservation,
-        *,
-        hosted_by: ResourceCalendar | None = None,
+        hosted: Counter[Reservation],
     ) -> tuple[str, int] | None:
         """The next booking to revoke: unstarted, overlapping the
-        contested window, latest ``(start, request, task)`` first —
-        later work yields to earlier work, deterministically.  With
-        ``hosted_by``, only bookings hosted by that shard calendar
-        qualify (the sharded fault path frees the contested shard)."""
-        members = (
-            None if hosted_by is None else list(hosted_by.reservations)
-        )
+        contested window, hosted by the faulted leg (``hosted`` counts
+        its window-overlapping reservations by value), latest
+        ``(start, request, task)`` first — later work yields to earlier
+        work, deterministically."""
         best: tuple[float, str, int] | None = None
         for rid in self._order:
             for task, res in self._committed[rid].reservations.items():
@@ -957,7 +895,7 @@ class ReservationService:
                     continue  # running bookings are contracts
                 if res.start >= window.end or res.end <= window.start:
                     continue
-                if members is not None and res not in members:
+                if hosted[res] <= 0:
                     continue
                 key = (res.start, rid, task)
                 if best is None or key > best:
@@ -971,8 +909,7 @@ class ReservationService:
         rid: str,
         revoked: dict[int, Reservation],
         t: float,
-        *,
-        origin_shard: int | None = None,
+        origin_shard: int,
     ) -> None:
         """Re-place a request's revoked tasks at the earliest feasible
         starts, cascading along precedence edges: a still-booked task
@@ -980,16 +917,16 @@ class ReservationService:
         too.  The cascade never reaches started tasks — a started task's
         predecessors finished before ``t``, so none of them moved.
 
-        Sharded (``origin_shard`` set): the earliest-start probe runs
-        through the facade reduce, so a repair may land on a different
-        shard than it was revoked from — counted as a
-        ``shard.rebalances`` migration."""
+        The earliest-start probe runs through the facade reduce, so a
+        repair may land on a different shard than it was revoked from
+        (``origin_shard``) — counted as a ``shard.rebalances``
+        migration."""
         creq = self._committed[rid]
         graph = creq.request.graph
         cal = self._scheduler.calendar
-        sharded = isinstance(cal, ShardedCalendar) and cal.n_shards > 1
+        counting = _obs.ENABLED and not self._restoring
         for task in graph.topological_order:
-            origin = origin_shard
+            origin: int | None = origin_shard
             old = revoked.get(task)
             if old is None:
                 current = creq.reservations.get(task)
@@ -998,8 +935,7 @@ class ReservationService:
                 floor = self._pred_floor(creq, graph, task, t)
                 if floor <= current.start:
                     continue  # precedence still satisfied in place
-                if sharded:
-                    assert isinstance(cal, ShardedCalendar)
+                if counting:
                     origin = cal.shard_of(current)
                 cal.remove(current)
                 old = current
@@ -1011,15 +947,9 @@ class ReservationService:
                 start, duration, old.nprocs, label=old.label
             )
             self._rebooked += 1
-            if (
-                sharded
-                and origin is not None
-                and isinstance(cal, ShardedCalendar)
-                and cal.last_commit_shard != origin
-            ):
-                if _obs.ENABLED and not self._restoring:
+            if counting:
+                if origin is not None and cal.last_commit_shard != origin:
                     _obs.incr("shard.rebalances")
-            if _obs.ENABLED and not self._restoring:
                 _obs.incr("service.rebooked")
 
     @staticmethod
@@ -1073,9 +1003,15 @@ class ReservationService:
         request = outcome.request
         self._last_offset = float(request.arrival_offset)
         if outcome.admitted and outcome.schedule is not None:
+            # Each placement goes back to the shard that hosted it: the
+            # original commit was routed on the staged copy, before any
+            # fault that landed in its commit window on another leg.
             cal = self._scheduler.calendar
-            for p in outcome.schedule.placements:
-                cal.reserve_known_feasible(
+            for p, k in zip(
+                outcome.schedule.placements, outcome.hosts, strict=True
+            ):
+                cal.reserve_in(
+                    k,
                     p.start,
                     p.duration,
                     p.nprocs,

@@ -39,15 +39,16 @@ generation counter — and recovers the calendar API on top:
 
 * **K = 1 reduces bitwise to the unsharded engine.**  With one shard
   every facade method short-circuits to the underlying calendar — same
-  arrays, same memo keys, same generation arithmetic — which the test
-  suite and the bench gate assert via report digests.
+  arrays, same memo keys, same generation arithmetic — so the online
+  engines (:mod:`repro.experiments.stream`, :mod:`repro.service`) hold
+  a one-shard facade by default and have no separate unsharded path.
 
 Competing (external) reservations are spread across shards by
 availability-aware water-filling (:meth:`add`): whole-interval pieces
 first from a rotating start shard, then time-sliced remainders, with a
 strict :class:`~repro.errors.CalendarError` when the platform-wide
-capacity is genuinely exceeded — the same raise the unsharded strict
-calendar gives the service's revocation loop.
+capacity is genuinely exceeded — the same raise a strict
+``ResourceCalendar`` gives.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ class ShardedCalendar:
         #: Shard id of the most recent routed commit (-1 before any);
         #: the service reads it to attribute a rebooking to a shard.
         self._last_commit_shard = -1
+        #: Hosting shard of every placement routed on a staged copy.
+        self._routes: dict[Reservation, int] = {}
         # Combined-profile cache for availability(), keyed by the
         # generation vector it was built at.
         self._combined: StepFunction | None = None
@@ -185,11 +188,6 @@ class ShardedCalendar:
         return len(self._shards)
 
     @property
-    def parent(self) -> "ShardedCalendar | None":
-        """The base this staged copy was taken from (``None`` on bases)."""
-        return self._parent
-
-    @property
     def shards(self) -> tuple[ResourceCalendar, ...]:
         """The shard calendars, by shard id."""
         return tuple(self._shards)
@@ -209,8 +207,9 @@ class ShardedCalendar:
         """Scalar generation: the sum of the shard generations.
 
         Strictly increases on every mutation anywhere on the platform,
-        so single-token CAS users (the unsharded service path) keep
-        working; the two-phase path uses the full vector instead.
+        so one number still tells whether anything moved (the service's
+        ``commit_conflict`` timeline events report it); the two-phase
+        commit compares the full vector instead.
         """
         return sum(s.generation for s in self._shards)
 
@@ -218,6 +217,13 @@ class ShardedCalendar:
     def last_commit_shard(self) -> int:
         """Shard that hosted the most recent routed commit (-1: none)."""
         return self._last_commit_shard
+
+    @property
+    def routes(self) -> dict[Reservation, int]:
+        """On a staged copy: the shard each placement committed by
+        :meth:`reserve_known_feasible` was routed to, keyed by the
+        booked reservation (empty on bases)."""
+        return self._routes
 
     @property
     def reservations(self) -> tuple[Reservation, ...]:
@@ -506,27 +512,30 @@ class ShardedCalendar:
         availability only decreases between a probe and its commit.
         """
         if len(self._shards) == 1:
-            self._touched.add(0)
-            self._last_commit_shard = 0
-            if self._pool is not None:
-                self._pool.record(("rkf", 0, start, duration, nprocs, label))
-            return self._shards[0].reserve_known_feasible(
-                start, duration, nprocs, label
-            )
+            k = 0
+        else:
+            k = self._first_fit(start, duration, nprocs)
+            if _obs.ENABLED:
+                _obs.incr("shard.commits")
+        self._touched.add(k)
+        self._last_commit_shard = k
+        if self._pool is not None:
+            self._pool.record(("rkf", k, start, duration, nprocs, label))
+        r = self._shards[k].reserve_known_feasible(
+            start, duration, nprocs, label
+        )
+        if self._parent is not None:
+            self._routes[r] = k
+        return r
+
+    def _first_fit(self, start: float, duration: float, nprocs: int) -> int:
+        """The lowest-id shard whose availability covers the window."""
         end = start + duration
         for k, s in enumerate(self._shards):
             if nprocs <= s.capacity and (
                 s.availability().min_over(start, end) >= nprocs
             ):
-                self._touched.add(k)
-                self._last_commit_shard = k
-                if self._pool is not None:
-                    self._pool.record(
-                        ("rkf", k, start, duration, nprocs, label)
-                    )
-                if _obs.ENABLED:
-                    _obs.incr("shard.commits")
-                return s.reserve_known_feasible(start, duration, nprocs, label)
+                return k
         raise CalendarError(
             f"placement [{start}, {end}) x{nprocs} fits no shard — it was "
             "not derived from this calendar's current state"
@@ -541,7 +550,9 @@ class ShardedCalendar:
         label: str = "",
     ) -> Reservation:
         """Strict ``reserve`` routed to an explicit shard (multi-cluster
-        commits, where the caller's reduce already picked the shard)."""
+        commits, where the caller's reduce already picked the shard, and
+        the service's journal replay, which restores each placement to
+        the shard that hosted it)."""
         r = self._shards[shard].reserve(start, duration, nprocs, label=label)
         self._touched.add(shard)
         self._last_commit_shard = shard
@@ -554,10 +565,9 @@ class ShardedCalendar:
     def add_to_shard(self, shard: int, reservation: Reservation) -> None:
         """Strictly add ``reservation`` to one explicit shard.
 
-        The service's sharded downtime faults use this to take capacity
+        The service's arrival/downtime faults use this to take capacity
         out of a specific shard; the strict ``CalendarError`` on
-        overflow drives its revocation loop, exactly like the unsharded
-        ``add``.
+        overflow drives its revocation loop.
         """
         self._shards[shard].add(reservation)
         self._touched.add(shard)
@@ -568,8 +578,8 @@ class ShardedCalendar:
     def remove_from_shard(self, shard: int, reservation: Reservation) -> None:
         """Remove a value-equal reservation from one explicit shard.
 
-        The service's sharded revocation loop frees capacity on the
-        contested shard specifically; the shard raises
+        The service's revocation loop frees capacity on the contested
+        shard specifically; the shard raises
         :class:`~repro.errors.CalendarError` when nothing matches.
         """
         self._shards[shard].remove(reservation)

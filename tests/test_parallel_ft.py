@@ -157,3 +157,39 @@ class TestJournal:
         assert resumed.resumed == N
         (q,) = resumed.quarantined
         assert q.scenario_key == "k0"
+
+
+def _exit_worker():
+    os._exit(3)
+
+
+class TestBrokenPoolAtSubmit:
+    """A cached pool whose worker died after its last call returned is
+    already broken when the next sweep submits to it; the harness must
+    fork a fresh pool instead of raising."""
+
+    @staticmethod
+    def _plant_broken_pool():
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=2)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(_exit_worker).result()
+        old = _POOLS.pop(2, None)
+        if old is not None:
+            old.shutdown()
+        _POOLS[2] = pool
+        return pool
+
+    def test_map_stream_forks_fresh_pool(self):
+        broken = self._plant_broken_pool()
+        out = map_stream(_toy_work, _toy_stream, (N,), n_workers=2)
+        assert [k for k, _ in out] == [f"k{i}" for i in range(N)]
+        assert _POOLS[2] is not broken
+
+    def test_run_sweep_forks_fresh_pool(self):
+        broken = self._plant_broken_pool()
+        outcome = run_sweep(_toy_work, _toy_stream, (N,), n_workers=2)
+        assert _keys(outcome) == [f"k{i}" for i in range(N)]
+        assert outcome.quarantined == []
+        assert _POOLS[2] is not broken

@@ -4,8 +4,9 @@ Covers the partitioning/water-filling invariants, the deterministic
 probe fan-out/reduce (including the generation-tagged facade probe
 cache), the two-phase cross-shard commit protocol, the K = 1 bitwise
 reduction to the unsharded engine (stream and service), whole-shard
-downtime faults forcing cross-shard repair, and process-pool probe
-fan-out digest equality.
+downtime faults forcing cross-shard repair, the shard fault rule
+(victims come from shard ``idx % K``, latest first), sharded
+kill-and-resume, and process-pool probe fan-out digest equality.
 """
 
 from __future__ import annotations
@@ -351,3 +352,93 @@ class TestProbePool:
         finally:
             pooled_engine.close()
         assert pooled.digest() == serial.digest()
+
+
+class TestShardFaultRule:
+    """An arrival/downtime fault revokes only bookings hosted by shard
+    ``idx % K`` of its trace index, latest ``(start, request, task)``
+    first."""
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    @pytest.mark.parametrize(
+        "model", [FaultModel.from_rate(150.0), DOWNTIME], ids=["rate", "down"]
+    )
+    def test_victims_come_from_the_faulted_shard_latest_first(
+        self, monkeypatch, n_shards, model
+    ):
+        svc = ReservationService(
+            _scenario(), fault_model=model, seed=3, shards=n_shards
+        )
+        current = {}
+        picks = []
+        removed = []
+        apply_fault = ReservationService._apply_fault
+        pick_victim = ReservationService._pick_victim
+        remove_from_shard = ShardedCalendar.remove_from_shard
+
+        def spy_apply(self, fault, idx):
+            current["fault"], current["idx"] = fault, idx
+            return apply_fault(self, fault, idx)
+
+        def spy_pick(self, t, window, *rest):
+            k = current["idx"] % n_shards
+            hosted = list(self.calendar.shards[k].reservations)
+            eligible = [
+                (res.start, rid, task)
+                for rid in self._order
+                for task, res in self._committed[rid].reservations.items()
+                if res.start > t
+                and res.start < window.end
+                and res.end > window.start
+                and res in hosted
+            ]
+            victim = pick_victim(self, t, window, *rest)
+            expected = max(eligible, default=None)
+            assert victim == (None if expected is None else expected[1:])
+            picks.append(expected)
+            return victim
+
+        def spy_remove(self, shard, reservation):
+            assert shard == current["idx"] % n_shards
+            assert reservation in self.shards[shard].reservations
+            others = [
+                s.reservations for j, s in enumerate(self.shards) if j != shard
+            ]
+            remove_from_shard(self, shard, reservation)
+            assert others == [
+                s.reservations for j, s in enumerate(self.shards) if j != shard
+            ]
+            removed.append(reservation)
+
+        monkeypatch.setattr(ReservationService, "_apply_fault", spy_apply)
+        monkeypatch.setattr(ReservationService, "_pick_victim", spy_pick)
+        monkeypatch.setattr(ShardedCalendar, "remove_from_shard", spy_remove)
+        report = svc.run(_requests())
+        assert report.revocations > 0
+        assert len(removed) == len(picks) == report.revocations
+
+
+class TestShardedResume:
+    """A killed sharded run resumed over its journal reproduces the
+    uninterrupted run, even when a fault in an admission's commit window
+    freed capacity on a lower shard than the one hosting it."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize(
+        "model", [FaultModel.from_rate(150.0), DOWNTIME], ids=["rate", "down"]
+    )
+    def test_kill_and_resume_matches_uninterrupted(
+        self, tmp_path, n_shards, model
+    ):
+        journal = str(tmp_path / "journal.jsonl")
+
+        def service(**kw):
+            return ReservationService(
+                _scenario(), fault_model=model, seed=3, shards=n_shards, **kw
+            )
+
+        service(journal_path=journal).run(_requests(), stop_after=5)
+        resumed = service(journal_path=journal).run(_requests())
+        reference = service().run(_requests())
+        assert resumed.resumed == 5
+        assert resumed.digest() == reference.digest()
