@@ -588,8 +588,9 @@ def bench_streamed_throughput(
     applications at a sustainable arrival rate.  Baseline: per request,
     rebuild the scenario with everything booked so far and run the batch
     ``schedule_ressched`` — the only way to express a stream with the
-    one-shot API (O(R) scenario rebuild plus full-suffix placement scans
-    per request).  Current path: one ``StreamScheduler`` admitting every
+    one-shot API (an O(R log R) scenario recompile per request; its
+    placement probes run the same windowed scan kernel as the stream's).
+    Current path: one ``StreamScheduler`` admitting every
     request against a single generation-tagged calendar via
     ``schedule_ressched_incremental`` — O(1)-amortized ready-queue
     events, batched windowed placement probes, and memoized plans.

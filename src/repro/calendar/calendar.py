@@ -16,10 +16,11 @@ questions every scheduler in this library asks:
 The availability profile ``capacity − occupancy`` is compiled lazily into
 a :class:`StepFunction` and then maintained **incrementally**: committing
 a reservation splices two breakpoints into the compiled profile
-(:meth:`StepFunction.with_interval_delta`, one O(segments) array copy)
+(:meth:`StepFunction.with_interval_delta`, one O(segments) array fill)
 instead of invalidating it and paying a full O(R log R) recompile on the
-next query.  Placement queries are NumPy computations over the profile's
-``times``/``values`` arrays.
+next query.  Placement queries scan the profile's ``times``/``values``
+arrays near the query instant (or walk an :class:`AvailabilityIndex` on
+dense profiles).
 
 Schedulers committing placements that came out of this calendar's own
 placement queries should use :meth:`reserve_known_feasible`, which skips
@@ -34,6 +35,7 @@ schedule back to the commit that caused it.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,20 +61,23 @@ INCREMENTAL_COMMITS: bool = True
 USE_INDEX: bool = True
 
 #: Profiles with fewer breakpoints than this answer queries with the
-#: linear NumPy scans — below it one vectorized pass beats building and
-#: walking trees.  Measured crossover on this codebase sits in the tens
-#: of thousands of segments for the commit-per-task scheduler pattern
-#: (each commit invalidates the index, so its O(S) rebuild competes with
-#: one O(S) vectorized scan); the threshold also bounds the linear
-#: multi-query sweep's O(S x B) scratch memory on very dense calendars.
-#: Tests and benchmarks drop it to 0 to force the tree walks.
+#: linear kernels — the scalar free-run pass and the windowed scans —
+#: instead of building and walking trees.  The value was measured for
+#: the commit-per-task batch scheduler, where each commit invalidates
+#: the index, so its O(S) rebuild has to pay for itself within one
+#: commit generation; the measured crossover sits in the tens of
+#: thousands of segments.  Tests and benchmarks drop it to 0 to force
+#: the tree walks.
 INDEX_MIN_SEGMENTS: int = 4096
 
-#: Initial window (in profile segments) of the batched placement-probe
-#: sweep (:meth:`ResourceCalendar.earliest_starts_batch`).  Rows whose
-#: first feasible run is not confirmed within the window rescan with an
-#: 8x larger one, so the constant only tunes constant factors — results
-#: are bitwise-independent of it.
+#: Window (in profile segments) of the pure-Python placement scans
+#: behind the linear paths of ``earliest_starts_multi``,
+#: ``earliest_starts_batch`` and ``latest_starts_multi``.  Rows whose
+#: answer is not confirmed within it escalate — forward rows to a
+#: vectorized pass with 8x larger windows, backward rows to a loop
+#: vectorized over rows that continues from the window edge — so the
+#: constant only tunes constant factors: results are bitwise-independent
+#: of it.
 BATCH_WINDOW_SEGMENTS: int = 64
 
 #: Entry cap on the per-calendar query memo; reaching it drops the whole
@@ -198,7 +203,8 @@ class ResourceCalendar:
         When the availability profile is already compiled (and the
         calendar is in incremental mode) the reservation is spliced into
         it in O(segments); the strict capacity check then reads the
-        spliced profile's minimum instead of recompiling from scratch.
+        minimum of the values the splice shifted instead of recompiling
+        from scratch.
 
         Raises:
             CalendarError: if the reservation alone exceeds capacity, or —
@@ -213,11 +219,12 @@ class ResourceCalendar:
         if self._incremental and self._profile is not None:
             if _obs.ENABLED:
                 _obs.incr("calendar.add.splice")
-            spliced = self._profile.with_interval_delta(
+            spliced, lo, hi = self._profile._splice(
                 reservation.start, reservation.end, -float(reservation.nprocs)
             )
             try:
-                validated = self._validated(spliced)
+                # Only the shifted values can have gone negative.
+                validated = self._validated(spliced, lo, hi)
             except CalendarError:
                 # Nothing was mutated: a failed add leaves the calendar
                 # unchanged.
@@ -265,14 +272,17 @@ class ResourceCalendar:
         *current* state; externally supplied reservations must go through
         :meth:`add`.
         """
-        if VALIDATE_COMMITS:
+        if VALIDATE_COMMITS or _obs.ENABLED:
+            # The debug and instrumented commits share one branch, so the
+            # plain splice pays a single test.
+            if VALIDATE_COMMITS:
+                if _obs.ENABLED:
+                    _obs.incr("calendar.commit.validated")
+                return self.reserve(start, duration, nprocs, label=label)
             if _obs.ENABLED:
-                _obs.incr("calendar.commit.validated")
-            return self.reserve(start, duration, nprocs, label=label)
-        if _obs.ENABLED:
-            with _obs.span("calendar.commit"):
-                _obs.incr("calendar.commit.splice")
-                return self._splice_commit(start, duration, nprocs, label)
+                with _obs.span("calendar.commit"):
+                    _obs.incr("calendar.commit.splice")
+                    return self._splice_commit(start, duration, nprocs, label)
         return self._splice_commit(start, duration, nprocs, label)
 
     def _splice_commit(
@@ -283,8 +293,9 @@ class ResourceCalendar:
             start=start, end=start + duration, nprocs=nprocs, label=label
         )
         prof = self.availability()
-        spliced = prof.with_interval_delta(r.start, r.end, -float(r.nprocs))
-        if spliced.values.size and spliced.values.min() < 0:
+        spliced, lo, hi = prof._splice(r.start, r.end, -float(r.nprocs))
+        # Only the shifted values can have gone negative.
+        if hi > lo and _min(spliced.values[lo:hi]) < 0:
             # Feasible placements can only go negative by floating-point
             # residue; clamp it like the strict path does so the profile
             # stays bitwise identical to a full recompile.
@@ -296,18 +307,14 @@ class ResourceCalendar:
 
     def copy(self) -> "ResourceCalendar":
         """Independent copy (used for tentative scheduling)."""
-        dup = ResourceCalendar(
-            self._capacity, clamp=self._clamp, incremental=self._incremental
-        )
+        # Everything but the reservation list is shared, without
+        # recompiling anything.  Sharing the index and memo dicts is
+        # safe: they describe the profile both calendars currently share,
+        # and whichever calendar mutates first rebinds (not clears) its
+        # own references.
+        dup = object.__new__(ResourceCalendar)
+        dup.__dict__.update(self.__dict__)
         dup._reservations = list(self._reservations)
-        dup._profile = self._profile
-        # Sharing the index and memo dicts is safe: they describe the
-        # profile both calendars currently share, and whichever calendar
-        # mutates first rebinds (not clears) its own references.
-        dup._generation = self._generation
-        dup._index = self._index
-        dup._runs_cache = self._runs_cache
-        dup._multi_cache = self._multi_cache
         return dup
 
     def _invalidate_caches(self) -> None:
@@ -324,7 +331,9 @@ class ResourceCalendar:
     # Profile
     # ------------------------------------------------------------------
 
-    def _validated(self, profile: StepFunction) -> StepFunction:
+    def _validated(
+        self, profile: StepFunction, lo: int = 0, hi: int | None = None
+    ) -> StepFunction:
         """Apply the capacity policy to a freshly built or spliced profile.
 
         Clamping calendars pin negative availability at zero.  Strict
@@ -334,16 +343,21 @@ class ResourceCalendar:
         and ``start + duration`` can land one ulp past the boundary;
         durations are minutes to hours, so sub-microsecond overlaps are
         physically meaningless and get clamped instead.
+
+        ``values[lo:hi]`` are the only values that can be negative (a
+        splice passes its shifted range; the default checks them all).
         """
         if _obs.ENABLED:
             _obs.incr("calendar.validate")
+        shifted = profile.values[lo:hi]
+        negative = bool(shifted.size) and _min(shifted) < 0
         if self._clamp:
-            if profile.values.size and profile.values.min() < 0:
+            if negative:
                 # Canonicalize after clamping so the spliced and
                 # recompiled profiles stay representation-identical.
                 return profile.map(lambda v: np.maximum(v, 0.0)).canonical()
             return profile
-        if profile.values.size and profile.values.min() < 0:
+        if negative:
             neg = profile.values < 0
             seg_len = np.append(np.diff(profile.times), np.inf)
             if bool(np.any(neg & (seg_len > TIME_EPS))):
@@ -546,10 +560,11 @@ class ResourceCalendar:
         ``durations[j]`` is the duration needed when using
         ``m_offset + j + 1`` processors (the moldable-task case: one
         execution-time vector per task).  Returns the earliest feasible
-        start for each count, in one sweep over the availability profile —
-        the schedulers' hot path.  ``m_offset`` lets callers searching for
-        the *fewest* feasible processors escalate through count windows
-        instead of paying for the full 1..p sweep.
+        start for each count from one windowed scan of the availability
+        profile (:meth:`_scan_earliest`) — the schedulers' hot path.
+        ``m_offset`` lets callers searching for the *fewest* feasible
+        processors escalate through count windows instead of paying for
+        the full 1..p sweep.
 
         Args:
             earliest: No window may start before this instant.
@@ -572,6 +587,39 @@ class ResourceCalendar:
         durations: Sequence[float] | np.ndarray,
         m_offset: int,
     ) -> np.ndarray:
+        d = self._checked_durations(durations, m_offset)
+        key = ("e", float(earliest), int(m_offset), d.tobytes())
+        cached = self._multi_cache.get(key)
+        if cached is not None:
+            if _obs.ENABLED:
+                _obs.incr("cache.calendar.multi.hit")
+            return cached.copy()
+
+        prof = self.availability()
+        if USE_INDEX and prof.times.size >= INDEX_MIN_SEGMENTS:
+            # Dense profile: one O(log S) indexed probe per processor
+            # count beats scanning segments for every count.
+            if _obs.ENABLED:
+                _obs.incr("cache.calendar.multi.miss")
+                _obs.incr("calendar.query.earliest_multi")
+                _obs.incr("calendar.query.earliest_multi.indexed")
+                _obs.observe("calendar.probe.counts", d.size)
+            result = self._indexed_earliest(prof, earliest, d, m_offset)
+            return self._memo_store(key, result)
+
+        result, scanned = self._scan_earliest(prof, float(earliest), d, m_offset)
+        if _obs.ENABLED:
+            _obs.incr("cache.calendar.multi.miss")
+            _obs.incr("calendar.query.earliest_multi")
+            _obs.observe("calendar.scan.segments", scanned)
+            _obs.observe("calendar.probe.counts", d.size)
+        return self._memo_store(key, result)
+
+    def _checked_durations(
+        self, durations: Sequence[float] | np.ndarray, m_offset: int = 0
+    ) -> np.ndarray:
+        """``durations`` as a positive 1-D float array whose counts
+        ``m_offset + 1 ..`` fit this calendar's capacity."""
         d = np.asarray(durations, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise CalendarError("durations must be a non-empty 1-D array")
@@ -582,77 +630,30 @@ class ResourceCalendar:
                 f"durations imply up to {m_offset + d.size} processors but "
                 f"capacity is {self._capacity}"
             )
-        if not np.all(d > 0):
+        if not _min(d) > 0:
             raise CalendarError("all durations must be positive")
+        return d
 
-        key = ("e", float(earliest), int(m_offset), d.tobytes())
-        cached = self._multi_cache.get(key)
-        if cached is not None:
-            if _obs.ENABLED:
-                _obs.incr("cache.calendar.multi.hit")
-            return cached.copy()
-        if _obs.ENABLED:
-            _obs.incr("cache.calendar.multi.miss")
-
-        prof = self.availability()
-        if USE_INDEX and prof.times.size >= INDEX_MIN_SEGMENTS:
-            # Dense profile: one O(log S) indexed probe per processor
-            # count beats sweeping every segment for every count.
-            if _obs.ENABLED:
-                _obs.incr("calendar.query.earliest_multi")
-                _obs.incr("calendar.query.earliest_multi.indexed")
-                _obs.observe("calendar.probe.counts", d.size)
-            idx = self._availability_index()
-            jq = int(np.searchsorted(prof.times, earliest, side="right"))
-            result = np.empty(d.size)
-            for k, dur in enumerate(d.tolist()):
-                s = idx.earliest_start(jq, earliest, dur, m_offset + k + 1)
-                if s is None:
-                    raise CalendarError(
-                        "availability profile ended before all requests "
-                        "were placed — internal invariant violated"
-                    )
-                result[k] = s
-            return self._memo_store(key, result)
-
-        m = np.arange(m_offset + 1, m_offset + d.size + 1)
-
-        # One 2-D sweep instead of a segment-by-segment walk: for every
-        # count, compute the maximal free runs (consecutive segments with
-        # availability >= m) of the profile suffix at/after `earliest`,
-        # then take the first run each window fits in.  A run straddling
-        # `earliest` keeps its tail: its clipped start bound maximizes to
-        # `earliest` below, exactly as the full-profile runs would.
-        j0 = int(np.searchsorted(prof.times, earliest, side="right"))
-        segvals = np.concatenate(([prof.base], prof.values))[j0:]
-        segbounds = np.concatenate(([-np.inf], prof.times, [np.inf]))[j0:]
-        n_seg = segvals.size
-        if _obs.ENABLED:
-            _obs.incr("calendar.query.earliest_multi")
-            _obs.observe("calendar.scan.segments", n_seg)
-            _obs.observe("calendar.probe.counts", d.size)
-        ok = np.zeros((d.size, n_seg + 2), dtype=bool)
-        np.greater_equal(segvals[None, :], m[:, None], out=ok[:, 1:-1])
-        inner = ok[:, 1:-1]
-        # Row-major nonzero: the i-th rise and i-th fall delimit the same
-        # run, and runs appear grouped by count and ordered in time.
-        r_rows, r_cols = np.nonzero(inner & ~ok[:, :-2])
-        f_rows, f_cols = np.nonzero(inner & ~ok[:, 2:])
-        cand = np.maximum(segbounds[r_cols], float(earliest))
-        feasible = cand + d[r_rows] <= segbounds[f_cols + 1]
-        rows_f = r_rows[feasible]
-        urows, first = np.unique(rows_f, return_index=True)
-        if urows.size != d.size:
-            # The final segment is all-free (value == capacity >= any
-            # requested count) and extends to +inf, so every count
-            # resolves; anything else is an internal invariant violation.
-            raise CalendarError(
-                "availability profile ended before all requests were "
-                "placed — internal invariant violated"
-            )
+    def _indexed_earliest(
+        self,
+        prof: StepFunction,
+        earliest: float,
+        d: np.ndarray,
+        m_offset: int,
+    ) -> np.ndarray:
+        """One O(log S) index walk per processor count (dense profiles)."""
+        idx = self._availability_index()
+        jq = int(prof.times.searchsorted(earliest, "right"))
         result = np.empty(d.size)
-        result[urows] = cand[feasible][first]
-        return self._memo_store(key, result)
+        for k, dur in enumerate(d.tolist()):
+            s = idx.earliest_start(jq, earliest, dur, m_offset + k + 1)
+            if s is None:
+                raise CalendarError(
+                    "availability profile ended before all requests "
+                    "were placed — internal invariant violated"
+                )
+            result[k] = s
+        return result
 
     def _memo_store(self, key: tuple, result: np.ndarray) -> np.ndarray:
         """Remember a multi-query result for this commit generation.
@@ -667,28 +668,191 @@ class ResourceCalendar:
         self._multi_cache[key] = result.copy()
         return result
 
+    def _scan_earliest(
+        self,
+        prof: StepFunction,
+        earliest: float,
+        d: np.ndarray,
+        m_offset: int,
+    ) -> tuple[np.ndarray, int]:
+        """The linear earliest-start kernel behind every multi-count probe.
+
+        Returns the earliest feasible start for each count
+        ``m_offset + k + 1`` (duration ``d[k]``) and the number of
+        profile segments scanned.  Answers almost always sit a few
+        segments past ``earliest``, so each row is resolved in pure
+        Python over ``.tolist()`` copies of the first
+        :data:`BATCH_WINDOW_SEGMENTS` segments — on the one-to-a-few
+        request batches the engines issue, NumPy's per-call overhead
+        would cost more than the scan.  A row takes the first free run
+        (consecutive segments with ``>= m`` processors) where
+        ``max(run start, earliest) + d <= run end``: per run it bisects
+        for the first segment whose end bound reaches ``cand + d`` and
+        accepts the run iff the run lasts through that segment.  Rows
+        with no confirmed run in the window — including rows whose
+        trailing run the window cuts short — escalate to
+        :meth:`_escalate_earliest`.  Both kernels compute the candidate
+        as the same float expression over the same segment bounds, so
+        results are bitwise-independent of the window size.
+        """
+        times = prof.times
+        # Padded segment p is [base, *values][p] on bounds
+        # [-inf, *times, +inf][p : p + 2]; segment j0 holds `earliest`.
+        j0 = int(times.searchsorted(earliest, "right"))
+        n_suffix = times.size + 1 - j0
+        window = max(1, BATCH_WINDOW_SEGMENTS)
+        wc = min(window, n_suffix)
+        segvals, segbounds = _window(prof, j0, wc)
+        # Window segment p is vals[p] on [los[p], los[p + 1]).
+        vals = segvals.tolist()
+        los = segbounds.tolist()
+        # Counts above the window's best availability cannot resolve in
+        # it (when the window reaches +inf its last value is capacity).
+        top = max(vals)
+        out = [0.0] * d.size
+        open_rows: list[int] = []
+        # The first segment with >= m free only moves right as m grows.
+        first = 0
+        m = m_offset
+        for k, dur in enumerate(d.tolist()):
+            m += 1
+            if m > top:
+                open_rows.append(k)
+                continue
+            while vals[first] < m:
+                first += 1
+            p = first
+            while True:
+                # p starts a run of segments with >= m free.
+                lo = los[p]
+                # np.maximum(lo, earliest): `earliest` on ties.
+                cand = lo if lo > earliest else earliest
+                # The first segment q whose end bound is >= cand + dur;
+                # the window fits iff the run reaches q.
+                q = bisect_left(los, cand + dur, p + 1) - 1
+                if q == wc:
+                    open_rows.append(k)
+                    break
+                if q == p or min(vals[p + 1 : q + 1]) >= m:
+                    out[k] = cand
+                    break
+                # The run ends inside (p, q]: skip to the next run.
+                p += 1
+                while vals[p] >= m:
+                    p += 1
+                while p < wc and vals[p] < m:
+                    p += 1
+                if p == wc:
+                    open_rows.append(k)
+                    break
+        result = np.array(out)
+        if not open_rows:
+            return result, wc
+        if wc >= n_suffix:
+            # The final segment is all-free (value == capacity >= any
+            # requested count) and extends to +inf, so every count
+            # resolves; anything else is an internal invariant violation.
+            raise CalendarError(
+                "availability profile ended before all requests were "
+                "placed — internal invariant violated"
+            )
+        scanned = self._escalate_earliest(
+            prof, earliest, d, m_offset, j0, np.array(open_rows), result, window * 8
+        )
+        return result, wc + scanned
+
+    def _escalate_earliest(
+        self,
+        prof: StepFunction,
+        earliest: float,
+        d: np.ndarray,
+        m_offset: int,
+        j0: int,
+        rows: np.ndarray,
+        out: np.ndarray,
+        window: int,
+    ) -> int:
+        """Vectorized windowed pass for the rows the scan left open.
+
+        Each pass scans a window of the suffix starting at segment
+        ``j0`` as one 2-D sweep over (row, segment).  Runs that close
+        inside the window are decided exactly; the one run a window can
+        truncate is its trailing run, whose end is only *under*stated
+        (the true run extends at least to the window's last bound), so a
+        candidate confirmed against that bound is exactly feasible and a
+        rejected trailing candidate merely escalates — rows with no
+        confirmed candidate retry with an 8x window until the window
+        covers the suffix, where the pass is the full exact sweep.
+        Writes answers into ``out[rows]`` and returns the segments
+        scanned.
+        """
+        n_suffix = prof.times.size + 1 - j0
+        m_rows = rows + (m_offset + 1)
+        d_rows = d[rows]
+        alive = np.arange(rows.size)
+        scanned = 0
+        while True:
+            if _obs.ENABLED:
+                _obs.incr("calendar.batch.escalations")
+            wc = min(window, n_suffix)
+            scanned += wc
+            segvals, segbounds = _window(prof, j0, wc)
+            ok = np.zeros((alive.size, wc + 2), dtype=bool)
+            np.greater_equal(
+                segvals[None, :], m_rows[alive][:, None], out=ok[:, 1:-1]
+            )
+            inner = ok[:, 1:-1]
+            # Row-major nonzero: the i-th rise and i-th fall delimit the
+            # same run, and runs appear grouped by row and ordered in time.
+            r_rows, r_cols = np.nonzero(inner & ~ok[:, :-2])
+            f_rows, f_cols = np.nonzero(inner & ~ok[:, 2:])
+            cand = np.maximum(segbounds[r_cols], earliest)
+            feasible = cand + d_rows[alive][r_rows] <= segbounds[f_cols + 1]
+            rows_f = r_rows[feasible]
+            if rows_f.size:
+                # `r_rows` is row-major sorted, so the first feasible run
+                # per row is the first occurrence in `rows_f`.
+                first = np.empty(rows_f.size, dtype=bool)
+                first[0] = True
+                np.not_equal(rows_f[1:], rows_f[:-1], out=first[1:])
+                urows = rows_f[first]
+                out[rows[alive[urows]]] = cand[feasible][first]
+            else:
+                urows = rows_f
+            if urows.size == alive.size:
+                return scanned
+            if wc >= n_suffix:
+                raise CalendarError(
+                    "availability profile ended before all requests were "
+                    "placed — internal invariant violated"
+                )
+            keep = np.ones(alive.size, dtype=bool)
+            keep[urows] = False
+            alive = alive[keep]
+            window *= 8
+
     def earliest_starts_batch(
         self,
         requests: "Sequence[tuple[float, Sequence[float] | np.ndarray]]",
         *,
         prechecked: bool = False,
     ) -> list[np.ndarray]:
-        """Several :meth:`earliest_starts_multi` probes in one fused sweep.
+        """Several :meth:`earliest_starts_multi` probes in one call.
 
         Each request is an ``(earliest, durations)`` pair exactly as the
         per-call signature takes them (``m_offset`` fixed at 0):
         ``durations[j]`` is the duration on ``j + 1`` processors.  The
         incremental scheduling engine batches the probes of every
-        simultaneously-ready task into one call per completion event, so
-        the 2-D free-run kernel builds its segment suffix once for the
-        whole batch instead of once per task.
+        simultaneously-ready task into one call per completion event;
+        each request missing the query memo runs the same windowed scan
+        (:meth:`_scan_earliest`) as the per-call query, and the batch
+        amortizes validation, the ``ENABLED`` checks and the memo
+        lookups.
 
         Results are **bitwise-identical** to issuing the per-call queries
-        one by one: each request's rows see the same free runs (a fused
-        suffix can only add runs that end at or before that request's
-        ``earliest``, which can never win), and the per-calendar query
-        memo is shared in both directions — batch results are stored
-        under the per-call keys and vice versa.
+        one by one, and the per-calendar query memo is shared in both
+        directions — batch results are stored under the per-call keys
+        and vice versa.
 
         Args:
             requests: ``(earliest, durations)`` pairs.
@@ -719,21 +883,10 @@ class ResourceCalendar:
         if prechecked:
             reqs: list[tuple[float, np.ndarray]] = list(requests)
         else:
-            reqs = []
-            for earliest, durations in requests:
-                d = np.asarray(durations, dtype=float)
-                if d.ndim != 1 or d.size == 0:
-                    raise CalendarError(
-                        "durations must be a non-empty 1-D array"
-                    )
-                if d.size > self._capacity:
-                    raise CalendarError(
-                        f"durations imply up to {d.size} processors but "
-                        f"capacity is {self._capacity}"
-                    )
-                if not np.all(d > 0):
-                    raise CalendarError("all durations must be positive")
-                reqs.append((float(earliest), d))
+            reqs = [
+                (float(earliest), self._checked_durations(durations))
+                for earliest, durations in requests
+            ]
         if not reqs:
             return []
 
@@ -746,11 +899,6 @@ class ResourceCalendar:
                 results[qi] = cached.copy()
             else:
                 miss.append(qi)
-        if _obs.ENABLED:
-            _obs.incr("calendar.query.earliest_batch")
-            _obs.observe("calendar.batch.requests", len(reqs))
-            _obs.incr("cache.calendar.multi.hit", len(reqs) - len(miss))
-            _obs.incr("cache.calendar.multi.miss", len(miss))
         if _tl.ENABLED:
             # One event per batched probe (the engine issues one batch
             # per completion event), timed at the earliest request.
@@ -761,142 +909,43 @@ class ResourceCalendar:
                 candidates=int(sum(d.size for _, d in reqs)),
                 memo_misses=len(miss),
             )
-        if not miss:
-            return results  # type: ignore[return-value]
 
-        prof = self.availability()
-        if (
-            USE_INDEX
-            and self._index is not None
-            and prof.times.size >= INDEX_MIN_SEGMENTS
-        ):
-            # Dense profile with a live index: the tree walks are already
-            # per-request; the batch just amortizes the ENABLED checks
-            # and memo lookups.  When no index exists for the current
-            # commit generation we deliberately do NOT build one — the
-            # batched probes come from the streamed engine, which commits
-            # after every event, so an index would be invalidated before
-            # it amortized its O(S) build; the windowed sweep below does
-            # O(window) work instead.
-            idx = self._index
-            for qi in miss:
-                e, d = reqs[qi]
-                jq = int(np.searchsorted(prof.times, e, side="right"))
-                out = np.empty(d.size)
-                for k, dur in enumerate(d.tolist()):
-                    s = idx.earliest_start(jq, e, dur, k + 1)
-                    if s is None:
-                        raise CalendarError(
-                            "availability profile ended before all requests "
-                            "were placed — internal invariant violated"
-                        )
-                    out[k] = s
-                results[qi] = self._memo_store(keys[qi], out)
-            return results  # type: ignore[return-value]
-
-        # One fused 2-D sweep over the union of all missed rows.  The
-        # suffix starts at the earliest request's segment; rows of later
-        # requests see extra leading runs, but those end at or before
-        # their own `earliest` (profile breakpoints at/before `earliest`
-        # sort left of it), so with positive durations they are never
-        # feasible and the per-row first-feasible answer — and its
-        # clipped candidate float max(run start, earliest) — matches the
-        # per-call truncated sweep exactly.
-        #
-        # The sweep is *windowed*: answers almost always sit within a few
-        # segments of `earliest`, so scanning the whole suffix (which on
-        # a long-lived streamed calendar is thousands of segments) does
-        # O(rows x suffix) work for an O(rows x answer-distance) problem.
-        # Each pass scans a prefix window of the suffix.  Runs that close
-        # inside the window are decided exactly; the one run a window can
-        # truncate is its trailing run, whose end is only *under*stated
-        # (the true run extends at least to the window's last bound), so
-        # a candidate confirmed against that bound is exactly feasible
-        # and a rejected trailing candidate merely escalates — rows with
-        # no confirmed candidate retry with an 8x window until the window
-        # covers the suffix, where the pass *is* the full exact kernel.
-        # Accepted candidates are `max(run start, earliest)` over the
-        # same segment arrays in every pass, so results stay bitwise
-        # identical to the unwindowed sweep.
-        e_min = min(reqs[qi][0] for qi in miss)
-        times, values = prof.times, prof.values
-        j0 = int(np.searchsorted(times, e_min, side="right"))
-        # The padded segment-value array is conceptually
-        # ``[base, *values]`` and its bounds ``[-inf, *times, +inf]``;
-        # windows are sliced as views of `values`/`times` directly (the
-        # padding only matters at the two ends), so a pass never copies
-        # O(suffix) data.
-        n_suffix = values.size + 1 - j0
-        row_m = np.concatenate(
-            [np.arange(1, reqs[qi][1].size + 1) for qi in miss]
-        )
-        row_d = np.concatenate([reqs[qi][1] for qi in miss])
-        row_earliest = np.repeat(
-            [reqs[qi][0] for qi in miss],
-            [reqs[qi][1].size for qi in miss],
-        )
-        flat = np.empty(row_m.size)
-        alive = np.arange(row_m.size)
-        window = max(1, BATCH_WINDOW_SEGMENTS)
         scanned = 0
-        while True:
-            wc = min(window, n_suffix)
-            scanned += wc
-            if j0 >= 1:
-                segvals = values[j0 - 1 : j0 - 1 + wc]
+        if miss:
+            prof = self.availability()
+            if (
+                USE_INDEX
+                and self._index is not None
+                and prof.times.size >= INDEX_MIN_SEGMENTS
+            ):
+                # Dense profile with a live index: the tree walks are
+                # already per-request.  When no index exists for the
+                # current commit generation we deliberately do NOT build
+                # one — the batched probes come from the streamed engine,
+                # which commits after every event, so an index would be
+                # invalidated before it amortized its O(S) build; the
+                # windowed scan does O(window) work instead.
+                for qi in miss:
+                    e, d = reqs[qi]
+                    out = self._indexed_earliest(prof, e, d, 0)
+                    results[qi] = self._memo_store(keys[qi], out)
             else:
-                segvals = np.concatenate(([prof.base], values[: wc - 1]))
-            if j0 >= 1 and j0 + wc <= times.size:
-                segbounds = times[j0 - 1 : j0 + wc]
-            else:
-                head = [] if j0 >= 1 else [np.array([-np.inf])]
-                tail = [] if j0 + wc <= times.size else [np.array([np.inf])]
-                segbounds = np.concatenate(
-                    head
-                    + [times[max(j0 - 1, 0) : min(j0 + wc, times.size)]]
-                    + tail
-                )
-            m_a = row_m[alive]
-            ok = np.zeros((alive.size, wc + 2), dtype=bool)
-            np.greater_equal(segvals[None, :], m_a[:, None], out=ok[:, 1:-1])
-            inner = ok[:, 1:-1]
-            r_rows, r_cols = np.nonzero(inner & ~ok[:, :-2])
-            f_rows, f_cols = np.nonzero(inner & ~ok[:, 2:])
-            cand = np.maximum(segbounds[r_cols], row_earliest[alive][r_rows])
-            feasible = cand + row_d[alive][r_rows] <= segbounds[f_cols + 1]
-            rows_f = r_rows[feasible]
-            if rows_f.size:
-                # `r_rows` is row-major sorted, so the first feasible run
-                # per row is the first occurrence in `rows_f` — no sort
-                # needed (unlike np.unique).
-                first = np.empty(rows_f.size, dtype=bool)
-                first[0] = True
-                np.not_equal(rows_f[1:], rows_f[:-1], out=first[1:])
-                urows = rows_f[first]
-                flat[alive[urows]] = cand[feasible][first]
-            else:
-                urows = rows_f
-            if urows.size == alive.size:
-                break
-            if wc >= n_suffix:
-                raise CalendarError(
-                    "availability profile ended before all requests were "
-                    "placed — internal invariant violated"
-                )
-            keep = np.ones(alive.size, dtype=bool)
-            keep[urows] = False
-            alive = alive[keep]
-            window *= 8
-            if _obs.ENABLED:
-                _obs.incr("calendar.batch.escalations")
+                for qi in miss:
+                    e, d = reqs[qi]
+                    out, n_seg = self._scan_earliest(prof, float(e), d, 0)
+                    scanned += n_seg
+                    results[qi] = self._memo_store(keys[qi], out)
         if _obs.ENABLED:
-            _obs.observe("calendar.scan.segments", scanned)
-            _obs.observe("calendar.probe.counts", row_m.size)
-        pos = 0
-        for qi in miss:
-            size = reqs[qi][1].size
-            results[qi] = self._memo_store(keys[qi], flat[pos : pos + size])
-            pos += size
+            _obs.incr("calendar.query.earliest_batch")
+            _obs.observe("calendar.batch.requests", len(reqs))
+            _obs.incr("cache.calendar.multi.hit", len(reqs) - len(miss))
+            _obs.incr("cache.calendar.multi.miss", len(miss))
+            if scanned:
+                _obs.observe("calendar.scan.segments", scanned)
+                _obs.observe(
+                    "calendar.probe.counts",
+                    sum(reqs[qi][1].size for qi in miss),
+                )
         return results  # type: ignore[return-value]
 
     def latest_starts_multi(
@@ -923,30 +972,19 @@ class ResourceCalendar:
         durations: Sequence[float] | np.ndarray,
         earliest: float,
     ) -> np.ndarray:
-        d = np.asarray(durations, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise CalendarError("durations must be a non-empty 1-D array")
-        if d.size > self._capacity:
-            raise CalendarError(
-                f"durations imply up to {d.size} processors but capacity is "
-                f"{self._capacity}"
-            )
-        if not np.all(d > 0):
-            raise CalendarError("all durations must be positive")
-
+        d = self._checked_durations(durations)
         key = ("l", float(latest_finish), float(earliest), d.tobytes())
         cached = self._multi_cache.get(key)
         if cached is not None:
             if _obs.ENABLED:
                 _obs.incr("cache.calendar.multi.hit")
             return cached.copy()
-        if _obs.ENABLED:
-            _obs.incr("cache.calendar.multi.miss")
 
         prof = self.availability()
         times = prof.times
         if USE_INDEX and times.size >= INDEX_MIN_SEGMENTS:
             if _obs.ENABLED:
+                _obs.incr("cache.calendar.multi.miss")
                 _obs.incr("calendar.query.latest_multi")
                 _obs.incr("calendar.query.latest_multi.indexed")
                 _obs.observe("calendar.probe.counts", d.size)
@@ -959,36 +997,124 @@ class ResourceCalendar:
                     result[k] = s
             return self._memo_store(key, result)
 
-        m = np.arange(1, d.size + 1)
+        result = self._scan_latest(
+            prof, float(latest_finish), d, float(earliest)
+        )
         if _obs.ENABLED:
+            _obs.incr("cache.calendar.multi.miss")
             _obs.incr("calendar.query.latest_multi")
             _obs.observe("calendar.probe.counts", d.size)
-        cand = np.full(d.size, float(latest_finish))  # candidate finish
-        result = np.full(d.size, np.nan)
-        resolved = np.zeros(d.size, dtype=bool)
+        return self._memo_store(key, result)
 
-        # Segment holding instants just before latest_finish.
-        j = int(np.searchsorted(times, latest_finish, side="left")) - 1
+    def _scan_latest(
+        self,
+        prof: StepFunction,
+        latest_finish: float,
+        d: np.ndarray,
+        earliest: float,
+    ) -> np.ndarray:
+        """The linear latest-start kernel: the backward counterpart of
+        :meth:`_scan_earliest`, NaN where a count is infeasible.
+
+        Each row keeps a candidate finish ``cand`` (initially
+        ``latest_finish``) and walks segments backward from the one
+        holding instants just before it.  Invariant: availability is
+        ``>= m`` on ``[segment end, cand)``.  In a run of segments with
+        enough processors the window fits at the last segment starting
+        at or before ``cand - d`` (found by bisection) if the run
+        reaches down to it; a segment without enough moves ``cand`` to
+        its start, and the row is infeasible once ``cand - d <
+        earliest``.  Rows are resolved in pure Python over the
+        :data:`BATCH_WINDOW_SEGMENTS` segments below ``latest_finish``;
+        rows still open at the window edge continue in a loop vectorized
+        over rows, one segment at a time, with the same ``cand - d``
+        arithmetic, so results are bitwise-independent of the window
+        size.
+        """
+        times = prof.times
+        # Segment holding instants just before latest_finish (-1 = base);
+        # the window covers segments j - wc + 1 >= -1 up to j, and window
+        # position i is vals[i] on [los[i], los[i + 1]).
+        j = int(times.searchsorted(latest_finish, "left")) - 1
+        wc = min(max(1, BATCH_WINDOW_SEGMENTS), j + 2)
+        segvals, segbounds = _window(prof, j + 2 - wc, wc)
+        vals = segvals.tolist()
+        los = segbounds.tolist()
+        # The base segment (-inf, times[0]) always has enough processors
+        # and room, so a window reaching it resolves every row.
+        open_rows: list[int] = []
+        open_cand: list[float] = []
+        out = [np.nan] * d.size
+        # The top-most segment with >= m free only moves down as m grows.
+        last = wc - 1
+        m = 0
+        for k, dur in enumerate(d.tolist()):
+            m += 1
+            while last >= 0 and vals[last] < m:
+                last -= 1
+            p = last
+            # Segments above p lack processors: the window must finish by
+            # the start of the lowest of them.  `cand` only decreases, so
+            # the infeasibility test at each of them reduces to this one.
+            cand = latest_finish if p == wc - 1 else los[p + 1]
+            while True:
+                if cand - dur < earliest:
+                    break
+                if p < 0:
+                    # Still blocked at the window's bottom edge.
+                    open_rows.append(k)
+                    open_cand.append(cand)
+                    break
+                s = cand - dur
+                # The last segment q <= p starting at or before s; the
+                # window fits iff the run reaches down to q.
+                q = bisect_right(los, s, 0, p + 1) - 1
+                lo_q = q if q > 0 else 0
+                if lo_q == p or min(vals[lo_q:p]) >= m:
+                    if q < 0:
+                        # The run reaches below the window.
+                        open_rows.append(k)
+                        open_cand.append(cand)
+                    elif s >= earliest:
+                        # A fitting start below `earliest` means every
+                        # remaining candidate is even earlier: infeasible.
+                        out[k] = s
+                    break
+                # The run ends inside [q, p): walk down past it and the
+                # blocked segments below it.
+                p -= 1
+                while vals[p] >= m:
+                    p -= 1
+                while p >= 0 and vals[p] < m:
+                    p -= 1
+                cand = los[p + 1]
+        result = np.array(out)
+        if not open_rows:
+            return result
+        if _obs.ENABLED:
+            _obs.incr("calendar.batch.escalations")
+        rows = np.array(open_rows)
+        m_rows = rows + 1
+        d_rows = d[rows]
+        cand_rows = np.array(open_cand)
+        res = np.full(rows.size, np.nan)
+        resolved = np.zeros(rows.size, dtype=bool)
+        j -= wc
         while True:
             lo, _hi = prof.segment_bounds(j)
             v = prof.segment_value(j)
-            enough = m <= v
-            starts = cand - d
-            # Invariant: availability >= m on [hi_j, cand[m]); the window
-            # fits once its start also falls inside this segment.
+            enough = m_rows <= v
+            starts = cand_rows - d_rows
             fits = ~resolved & enough & (starts >= lo)
             good = fits & (starts >= earliest)
-            result[good] = starts[good]
-            # A fitting start below `earliest` means every remaining
-            # candidate is even earlier: infeasible (result stays NaN).
+            res[good] = starts[good]
             resolved |= fits
             broken = ~resolved & ~enough
-            cand[broken] = lo
-            # Once the candidate finish leaves no room above `earliest`,
-            # the request is infeasible.
-            resolved |= broken & (cand - d < earliest)
+            cand_rows[broken] = lo
+            resolved |= broken & (cand_rows - d_rows < earliest)
             if resolved.all() or j < 0:
-                return self._memo_store(key, result)
+                result[rows] = res
+                return result
             j -= 1
 
     def fits(self, start: float, duration: float, nprocs: int) -> bool:
@@ -1023,3 +1149,38 @@ class ResourceCalendar:
             f"ResourceCalendar(capacity={self._capacity}, "
             f"reservations={len(self._reservations)})"
         )
+
+
+def _window(
+    prof: StepFunction, j0: int, wc: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded segments ``j0 .. j0 + wc - 1`` of ``prof``.
+
+    The padded segment values are conceptually ``[base, *values]`` and
+    their bounds ``[-inf, *times, +inf]``; returns the ``wc`` values and
+    the ``wc + 1`` bounds of the window.  Both are views of the profile
+    arrays except where the window touches one of the two padded ends,
+    so a window never copies O(suffix) data.
+    """
+    times, values = prof.times, prof.values
+    if j0 >= 1:
+        segvals = values[j0 - 1 : j0 - 1 + wc]
+    else:
+        segvals = np.concatenate(([prof.base], values[: wc - 1]))
+    if j0 >= 1 and j0 + wc <= times.size:
+        segbounds = times[j0 - 1 : j0 + wc]
+    else:
+        head = [] if j0 >= 1 else [np.array([-np.inf])]
+        tail = [] if j0 + wc <= times.size else [np.array([np.inf])]
+        segbounds = np.concatenate(
+            head + [times[max(j0 - 1, 0) : min(j0 + wc, times.size)]] + tail
+        )
+    return segvals, segbounds
+
+
+def _min(a: np.ndarray) -> float:
+    """``a.min()`` of a non-empty array, through the C-level ``argmin``
+    (``ndarray.min`` goes through a Python-level reduction wrapper whose
+    overhead dominates on the short arrays of the hot paths).  NaN
+    propagates as in ``min``: ``argmin`` picks the first NaN."""
+    return float(a[a.argmin()])

@@ -16,6 +16,7 @@ scheduler, hence the array representation and ``searchsorted`` lookups.
 
 from __future__ import annotations
 
+import math
 import struct
 from hashlib import blake2b
 from typing import Iterable, Sequence
@@ -117,11 +118,28 @@ class StepFunction:
         reservation of ``n`` processors is ``with_interval_delta(start,
         end, -n)`` on the availability profile.  The two new breakpoints
         are spliced into the existing sorted arrays via ``searchsorted``
-        — one O(k) copy, no re-sort, no event-list rebuild — and the
-        result is re-canonicalized (no zero-jump breakpoints), so it is
-        bit-identical to recompiling the profile from scratch.
+        — one O(k) fill of preallocated arrays, no re-sort, no
+        event-list rebuild — and the result stays canonical (no
+        zero-jump breakpoints), so it is bit-identical to recompiling
+        the profile from scratch.
+
+        Only the jumps at ``start`` and ``end`` can vanish: every
+        interior jump is between two values shifted by the same
+        ``delta``, and on integer-valued functions (every availability
+        profile: capacity minus processor counts) that shift is exact,
+        so distinct neighbours stay distinct.  On functions with
+        fractional values an interior jump could round away; the result
+        is then still the right function, only not canonical.
         """
-        if not (np.isfinite(start) and np.isfinite(end)):
+        return self._splice(start, end, delta)[0]
+
+    def _splice(
+        self, start: float, end: float, delta: float
+    ) -> "tuple[StepFunction, int, int]":
+        """:meth:`with_interval_delta`, also returning the index range
+        ``[lo, hi)`` of the result's ``values`` that hold shifted values
+        (every other value is one of this function's own)."""
+        if not (math.isfinite(start) and math.isfinite(end)):
             raise ValueError(
                 f"interval bounds must be finite, got [{start}, {end})"
             )
@@ -130,46 +148,62 @@ class StepFunction:
                 f"interval must have positive length, got [{start}, {end})"
             )
         if delta == 0.0:  # lint: ignore[REP004] — exact no-op check; eps would turn real tiny deltas into silent no-ops
-            return self
+            return self, 0, 0
         t, v = self.times, self.values
+        n = t.size
         # Positions of the interval endpoints in the breakpoint array.
-        i0 = int(np.searchsorted(t, start, side="left"))
-        i1 = int(np.searchsorted(t, end, side="left"))
+        i0 = int(t.searchsorted(start, "left"))
+        i1 = int(t.searchsorted(end, "left"))
         # Bitwise breakpoint identity is the contract of the canonical
         # splice path: a breakpoint is reused only if the float is the
         # same object value, so repeated add/remove round-trips are exact.
-        need_s = not (i0 < t.size and t[i0] == start)  # lint: ignore[REP004] — bitwise breakpoint identity
-        need_e = not (i1 < t.size and t[i1] == end)  # lint: ignore[REP004] — bitwise breakpoint identity
+        has_s = i0 < n and t[i0] == start  # lint: ignore[REP004] — bitwise breakpoint identity
+        has_e = i1 < n and t[i1] == end  # lint: ignore[REP004] — bitwise breakpoint identity
         # Value holding just before each endpoint (what an inserted
         # breakpoint starts from / reverts to).
-        val_before_start = self.base if i0 == 0 else float(v[i0 - 1])
-        val_before_end = self.base if i1 == 0 else float(v[i1 - 1])
-        ins_s = np.array([start]) if need_s else np.empty(0)
-        ins_e = np.array([end]) if need_e else np.empty(0)
-        new_t = np.concatenate([t[:i0], ins_s, t[i0:i1], ins_e, t[i1:]])
-        new_v = np.concatenate(
-            [
-                v[:i0],
-                np.array([val_before_start]) if need_s else np.empty(0),
-                v[i0:i1],
-                np.array([val_before_end]) if need_e else np.empty(0),
-                v[i1:],
-            ]
-        )
-        # Segments covering [start, end): from the `start` breakpoint
-        # (position i0) up to the `end` breakpoint (position i1 + need_s).
-        new_v[i0 : i1 + (1 if need_s else 0)] += delta
-        # Re-canonicalize: drop breakpoints whose value equals the one
-        # before them (the base for the first), e.g. when the delta
-        # happens to cancel an existing jump at an endpoint.
-        keep = np.empty(new_t.size, dtype=bool)
-        keep[0] = new_v[0] != self.base
-        keep[1:] = new_v[1:] != new_v[:-1]
-        if not keep.any():
-            return StepFunction.constant(self.base)
+        before_s = self.base if i0 == 0 else float(v[i0 - 1])
+        before_e = self.base if i1 == 0 else float(v[i1 - 1])
+        # The two jumps that can vanish, decided before any array work.
+        # The value at `start` becomes (its old value + delta) and must
+        # differ from the unshifted value before it; the value at `end`
+        # keeps its old value and must differ from the shifted one
+        # before it.  Python float arithmetic is the same IEEE-754
+        # double arithmetic NumPy applies to the arrays below.
+        at_s = (float(v[i0]) if has_s else before_s) + delta
+        keep_s = at_s != before_s
+        at_e = float(v[i1]) if has_e else before_e
+        keep_e = at_e != before_e + delta
+        ins_s = keep_s and not has_s
+        ins_e = keep_e and not has_e
+        # Old breakpoints copied into the shifted run: [a, i1), minus an
+        # existing start breakpoint whose jump vanished.
+        a = i0 + 1 if has_s and not keep_s else i0
+        b = i1 + 1 if has_e and not keep_e else i1
+        size = i0 + ins_s + (i1 - a) + ins_e + (n - b)
+        if size == 0:
+            return StepFunction.constant(self.base), 0, 0
+        new_t = np.empty(size)
+        new_v = np.empty(size)
+        new_t[:i0] = t[:i0]
+        new_v[:i0] = v[:i0]
+        p = i0
+        if ins_s:
+            new_t[p] = start
+            new_v[p] = at_s
+            p += 1
+        q = p + (i1 - a)
+        new_t[p:q] = t[a:i1]
+        np.add(v[a:i1], delta, out=new_v[p:q])
+        hi = q
+        if ins_e:
+            new_t[q] = end
+            new_v[q] = at_e
+            q += 1
+        new_t[q:] = t[b:]
+        new_v[q:] = v[b:]
         # Splice output is sorted and canonical by construction: skip the
         # constructor's monotonicity re-check.
-        return StepFunction._make(new_t[keep], new_v[keep], self.base)
+        return StepFunction._make(new_t, new_v, self.base), i0, hi
 
     def canonical(self) -> "StepFunction":
         """This function with zero-jump breakpoints dropped.

@@ -41,6 +41,7 @@ same instance (a Hypothesis property test enforces this):
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -379,8 +380,10 @@ def schedule_ressched_incremental(
                     # statically infeasible forever, so they never
                     # constrain the invalidation envelope.  All-finite
                     # (unsharded) probes take the first branch bitwise.
-                    hi = float(windows.max())
-                    if not np.isfinite(hi):
+                    # (`x[x.argmax()]` is `x.max()` without the Python-level
+                    # reduction wrapper that dominates on short arrays.)
+                    hi = float(windows[windows.argmax()])
+                    if not math.isfinite(hi):
                         finite = windows[np.isfinite(windows)]
                         hi = (
                             float(finite.max())
@@ -389,7 +392,7 @@ def schedule_ressched_incremental(
                         )
                     probes[i] = (
                         starts,
-                        float(starts.min()),
+                        float(starts[starts.argmin()]),
                         hi,
                         event,
                     )
@@ -404,10 +407,10 @@ def schedule_ressched_incremental(
             if tie_break == "fewest":
                 # argmin returns the first minimum: the fewest processors
                 # among exact completion ties.
-                j = int(np.argmin(completions))
+                j = int(completions.argmin())
             else:
                 # Last minimum: the most processors among ties.
-                j = int(completions.size - 1 - np.argmin(completions[::-1]))
+                j = int(completions.size - 1 - completions[::-1].argmin())
             m, start, dur = j + 1, float(starts[j]), float(durations[j])
             if prov is not None:
                 _obs.incr("stream.events")
