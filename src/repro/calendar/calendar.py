@@ -124,7 +124,14 @@ class ResourceCalendar:
         self._incremental = (
             INCREMENTAL_COMMITS if incremental is None else bool(incremental)
         )
+        # Reservations live in the first ``_n_res`` entries of
+        # ``_reservations``.  A copy shares the list: whichever calendar
+        # holds the last entry appends in place, the other copies its own
+        # prefix first (see _book), and removals always work on a
+        # private prefix copy, so a staged copy costs O(1) instead of
+        # O(reservations).
         self._reservations: list[Reservation] = []
+        self._n_res = 0
         self._profile: StepFunction | None = None
         # Monotone commit generation: bumped on every profile mutation.
         # The index and the query memos below are only valid for the
@@ -142,6 +149,7 @@ class ResourceCalendar:
                     f"platform has only {self._capacity}"
                 )
             self._reservations.append(r)
+        self._n_res = len(self._reservations)
         # Bulk validation: one profile compile checks capacity at every
         # instant (availability() raises on negative values in strict
         # mode), instead of a per-reservation scan.
@@ -159,7 +167,7 @@ class ResourceCalendar:
     @property
     def reservations(self) -> tuple[Reservation, ...]:
         """All reservations, in insertion order."""
-        return tuple(self._reservations)
+        return tuple(self._own())
 
     @property
     def generation(self) -> int:
@@ -173,7 +181,28 @@ class ResourceCalendar:
         return self._generation
 
     def __len__(self) -> int:
-        return len(self._reservations)
+        return self._n_res
+
+    def _own(self) -> list[Reservation]:
+        """This calendar's reservations (the list itself when nothing
+        was appended past them, else a prefix copy — read-only)."""
+        if len(self._reservations) == self._n_res:
+            return self._reservations
+        return self._reservations[: self._n_res]
+
+    def _book(
+        self, reservation: Reservation, profile: StepFunction | None
+    ) -> None:
+        """Append ``reservation``, install ``profile`` as the compiled
+        profile (``None``: recompile lazily) and start a new commit
+        generation.  The list may be shared with copies: append in place
+        only while holding its last entry, else copy our prefix first."""
+        if len(self._reservations) != self._n_res:
+            self._reservations = self._reservations[: self._n_res]
+        self._reservations.append(reservation)
+        self._n_res += 1
+        self._profile = profile
+        self._invalidate_caches()
 
     def remove(self, reservation: Reservation) -> None:
         """Withdraw a previously registered reservation.
@@ -186,12 +215,16 @@ class ResourceCalendar:
         Raises:
             CalendarError: if no equal reservation is registered.
         """
+        # The list may be shared with copies: remove from a private one.
+        own = self._reservations[: self._n_res]
         try:
-            self._reservations.remove(reservation)
+            own.remove(reservation)
         except ValueError:
             raise CalendarError(
                 f"cannot remove unregistered reservation {reservation}"
             ) from None
+        self._reservations = own
+        self._n_res -= 1
         if _obs.ENABLED:
             _obs.incr("calendar.remove")
         self._profile = None
@@ -231,15 +264,11 @@ class ResourceCalendar:
                 raise CalendarError(
                     f"adding reservation {reservation} would exceed capacity"
                 ) from None
-            self._reservations.append(reservation)
-            self._profile = validated
-            self._invalidate_caches()
+            self._book(reservation, validated)
             return
         if _obs.ENABLED:
             _obs.incr("calendar.add.rebuild")
-        self._reservations.append(reservation)
-        self._profile = None
-        self._invalidate_caches()
+        self._book(reservation, None)
         if not self._clamp:
             # Strict capacity check: recompiling the profile raises on any
             # real violation (micro-violations shorter than the time
@@ -248,8 +277,12 @@ class ResourceCalendar:
             try:
                 self.availability()
             except CalendarError:
+                # The append above left this calendar holding the
+                # list's last entry, so popping it disturbs no copy.
                 self._reservations.pop()
+                self._n_res -= 1
                 self._profile = None
+                self._invalidate_caches()
                 raise CalendarError(
                     f"adding reservation {reservation} would exceed capacity"
                 ) from None
@@ -300,9 +333,7 @@ class ResourceCalendar:
             # residue; clamp it like the strict path does so the profile
             # stays bitwise identical to a full recompile.
             spliced = spliced.map(lambda v: np.maximum(v, 0.0)).canonical()
-        self._reservations.append(r)
-        self._profile = spliced
-        self._invalidate_caches()
+        self._book(r, spliced)
         return r
 
     def copy(self) -> "ResourceCalendar":
@@ -311,10 +342,22 @@ class ResourceCalendar:
         # recompiling anything.  Sharing the index and memo dicts is
         # safe: they describe the profile both calendars currently share,
         # and whichever calendar mutates first rebinds (not clears) its
-        # own references.
+        # own references.  The attributes are set one by one in
+        # ``__init__`` order: copying ``__dict__`` wholesale would
+        # materialize the copy's instance dict, and every later attribute
+        # load on it (the copy becomes the live calendar on commit) takes
+        # CPython's slower dict-lookup path.
         dup = object.__new__(ResourceCalendar)
-        dup.__dict__.update(self.__dict__)
-        dup._reservations = list(self._reservations)
+        dup._capacity = self._capacity
+        dup._clamp = self._clamp
+        dup._incremental = self._incremental
+        dup._reservations = self._reservations
+        dup._n_res = self._n_res
+        dup._profile = self._profile
+        dup._generation = self._generation
+        dup._index = self._index
+        dup._runs_cache = self._runs_cache
+        dup._multi_cache = self._multi_cache
         return dup
 
     def _invalidate_caches(self) -> None:
@@ -374,7 +417,7 @@ class ResourceCalendar:
         """The compiled availability profile (free processors over time)."""
         if self._profile is None:
             events: list[tuple[float, float]] = []
-            for r in self._reservations:
+            for r in self._own():
                 events.append((r.start, -float(r.nprocs)))
                 events.append((r.end, float(r.nprocs)))
             profile = StepFunction.from_deltas(events, base=float(self._capacity))
@@ -1137,17 +1180,17 @@ class ResourceCalendar:
 
     def span(self) -> tuple[float, float] | None:
         """Earliest start and latest end over all reservations, or None."""
-        if not self._reservations:
+        if not self._n_res:
             return None
         return (
-            min(r.start for r in self._reservations),
-            max(r.end for r in self._reservations),
+            min(r.start for r in self._own()),
+            max(r.end for r in self._own()),
         )
 
     def __repr__(self) -> str:
         return (
             f"ResourceCalendar(capacity={self._capacity}, "
-            f"reservations={len(self._reservations)})"
+            f"reservations={self._n_res})"
         )
 
 

@@ -632,18 +632,7 @@ class ReservationService:
                     retries=conflicts,
                 )
         self._scheduler.adopt(target)
-        # The staged copy booked one reservation per task, labelled with
-        # the task's name (unique within its graph), and recorded the
-        # shard each went to: record those, not equal copies of them.
-        booked = {
-            request.graph.index_of(r.label): (r, k)
-            for r, k in target.routes.items()
-        }
-        reservations = self._register(
-            request,
-            arrival,
-            {p.task: booked[p.task][0] for p in schedule.placements},
-        )
+        reservations = self._register(request, arrival, schedule)
         if _obs.ENABLED:
             _obs.incr("service.admitted")
         if _tl.ENABLED:
@@ -663,7 +652,7 @@ class ReservationService:
             schedule=schedule,
             latency_s=sw.wall_s,
             retries=conflicts,
-            hosts=tuple(booked[t][1] for t in reservations),
+            hosts=target.hosts_of(reservations.values()),
         )
 
     def _shed_reason(
@@ -769,13 +758,14 @@ class ReservationService:
         )
 
     def _register(
-        self,
-        request: StreamRequest,
-        arrival: float,
-        reservations: dict[int, Reservation],
+        self, request: StreamRequest, arrival: float, schedule: Schedule
     ) -> dict[int, Reservation]:
-        """Book-keep an admission's task -> reservation map (in placement
-        order) and return it."""
+        """Book-keep an admission; returns its task -> reservation map
+        (in placement order)."""
+        reservations = {
+            p.task: p.as_reservation(request.graph.task(p.task).name)
+            for p in schedule.placements
+        }
         self._committed[request.request_id] = _Committed(
             request=request, arrival=arrival, reservations=reservations
         )
@@ -1017,18 +1007,17 @@ class ReservationService:
             # original commit was routed on the staged copy, before any
             # fault that landed in its commit window on another leg.
             cal = self._scheduler.calendar
-            reservations = {}
             for p, k in zip(
                 outcome.schedule.placements, outcome.hosts, strict=True
             ):
-                reservations[p.task] = cal.reserve_in(
+                cal.reserve_in(
                     k,
                     p.start,
                     p.duration,
                     p.nprocs,
                     label=request.graph.task(p.task).name,
                 )
-            self._register(request, outcome.arrival, reservations)
+            self._register(request, outcome.arrival, outcome.schedule)
         elif outcome.status == "dead-letter":
             self._dead_letters.append(
                 DeadLetter(

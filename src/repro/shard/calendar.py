@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.typing as npt
-from typing import Any, Iterable, Sequence, cast
+from typing import Any, Collection, Iterable, Sequence, cast
 
 from repro.calendar import Reservation, ResourceCalendar, StepFunction
 from repro.errors import CalendarError, ShardCommitError
@@ -126,7 +126,8 @@ class ShardedCalendar:
         #: Shard id of the most recent routed commit (-1 before any);
         #: the service reads it to attribute a rebooking to a shard.
         self._last_commit_shard = -1
-        #: Hosting shard of every placement routed on a staged copy.
+        #: Hosting shard of every placement routed on a staged copy
+        #: (several shards only; see :meth:`hosts_of`).
         self._routes: dict[Reservation, int] = {}
         # Combined-profile cache for availability(), keyed by the
         # generation vector it was built at.
@@ -218,12 +219,16 @@ class ShardedCalendar:
         """Shard that hosted the most recent routed commit (-1: none)."""
         return self._last_commit_shard
 
-    @property
-    def routes(self) -> dict[Reservation, int]:
-        """On a staged copy: the shard each placement committed by
-        :meth:`reserve_known_feasible` was routed to, keyed by the
-        booked reservation (empty on bases)."""
-        return self._routes
+    def hosts_of(self, booked: Collection[Reservation]) -> tuple[int, ...]:
+        """On a staged copy: the shard each of ``booked`` — reservations
+        committed by :meth:`reserve_known_feasible` — was routed to.
+
+        One shard hosts everything on a one-shard calendar, so routes
+        are only recorded (and looked up) with several shards.
+        """
+        if len(self._shards) == 1:
+            return (0,) * len(booked)
+        return tuple(self._routes[r] for r in booked)
 
     @property
     def reservations(self) -> tuple[Reservation, ...]:
@@ -511,12 +516,13 @@ class ShardedCalendar:
         ``(earliest_start, shard_id)`` tie-break selected, since
         availability only decreases between a probe and its commit.
         """
-        if len(self._shards) == 1:
-            k = 0
-        else:
+        routed = len(self._shards) > 1
+        if routed:
             k = self._first_fit(start, duration, nprocs)
             if _obs.ENABLED:
                 _obs.incr("shard.commits")
+        else:
+            k = 0
         self._touched.add(k)
         self._last_commit_shard = k
         if self._pool is not None:
@@ -524,7 +530,7 @@ class ShardedCalendar:
         r = self._shards[k].reserve_known_feasible(
             start, duration, nprocs, label
         )
-        if self._parent is not None:
+        if routed and self._parent is not None:
             self._routes[r] = k
         return r
 

@@ -100,6 +100,38 @@ class TestCalendarBookkeeping:
         assert len(dup) == len(busy_calendar) + 1
         assert busy_calendar.available_at(50_050.0) == 16
 
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_copies_sharing_the_list_stay_independent(self, incremental):
+        """Copies share one reservation list; appends, removals and a
+        rolled-back add on either side must never show on the other."""
+        r0, r1 = Reservation(0.0, 10.0, 2), Reservation(20.0, 30.0, 1)
+        base = ResourceCalendar(4, [r0, r1], incremental=incremental)
+        dup = base.copy()
+        a = dup.reserve_known_feasible(40.0, 5.0, 3, label="a")
+        assert dup.reservations == (r0, r1, a)
+        assert base.reservations == (r0, r1) and len(base) == 2
+        # The base appends past a copy that already appended.
+        b = base.reserve(50.0, 5.0, 4, label="b")
+        assert base.reservations == (r0, r1, b)
+        assert dup.reservations == (r0, r1, a)
+        # A dropped staged copy leaves the base intact; a fresh copy
+        # starts from the base's reservations only.
+        again = base.copy()
+        c = again.reserve_known_feasible(60.0, 5.0, 1, label="c")
+        assert again.reservations == (r0, r1, b, c)
+        # Removal on one side, and a failed add, touch nothing else.
+        base.remove(r0)
+        assert base.reservations == (r1, b)
+        assert again.reservations == (r0, r1, b, c)
+        with pytest.raises(CalendarError, match="exceed"):
+            again.add(Reservation(0.0, 5.0, 3))
+        assert again.reservations == (r0, r1, b, c) and len(again) == 4
+        assert dup.reservations == (r0, r1, a) and len(dup) == 3
+        for cal in (base, dup, again):
+            rebuilt = ResourceCalendar(4, cal.reservations)
+            assert cal.availability() == rebuilt.availability()
+            assert cal.span() == rebuilt.span()
+
     def test_span(self, busy_calendar):
         assert busy_calendar.span() == (0.0, 40_000.0)
         assert ResourceCalendar(4).span() is None
